@@ -91,7 +91,7 @@ pub fn insert_barriers(program: &Program, cuts: &[usize]) -> (Program, Vec<Optio
         origin.push(Some(i));
     }
     for seg in program.data() {
-        asm.data_segment(seg.base, seg.bytes.clone());
+        asm.segment(seg.clone());
     }
     asm.entry(remap(program.entry(), &cuts));
     let hardened = asm.build().expect("rebuilding a valid program cannot fail");

@@ -13,11 +13,9 @@
 #![forbid(unsafe_code)]
 
 use sas_pipeline::{CpiStack, DelayCause, FaultPlan, RunExit, RunResult, System};
-use sas_workloads::{build_parsec_workload, build_workload, Profile, Workload};
+use sas_workloads::{build_parsec_workload, build_workload, Profile};
 use specasan::{build_multicore, build_system, Mitigation, SimConfig};
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
 
 pub mod checkpoint;
 pub mod jsonl;
@@ -168,50 +166,24 @@ pub struct Cell {
     pub run: RunResult,
 }
 
-/// Memoized workload construction: every mitigation column of a figure row
-/// runs the *same* generated program, so harnesses share one build per
-/// `(suite, benchmark, iterations)` instead of regenerating the multi-MB
-/// data segments per cell. Generation is deterministic (fixed [`SEED`]), so
-/// caching cannot change what any cell executes.
-fn cached_workloads(
-    key: (&'static str, &'static str, u32),
-    build: impl FnOnce() -> Vec<Workload>,
-) -> Arc<Vec<Workload>> {
-    type Cache = Mutex<HashMap<(&'static str, &'static str, u32), Arc<Vec<Workload>>>>;
-    static CACHE: OnceLock<Cache> = OnceLock::new();
-    let cache = CACHE.get_or_init(Default::default);
-    if let Some(w) = cache.lock().unwrap().get(&key) {
-        return Arc::clone(w);
-    }
-    // Build outside the lock: concurrent misses may build twice, but cells
-    // never block on another row's multi-megabyte generation.
-    let built = Arc::new(build());
-    cache.lock().unwrap().entry(key).or_insert(built).clone()
-}
-
 /// Builds the single-core system for one SPEC workload — program loaded,
-/// data installed, *not* run — through the shared workload cache. Hosts
-/// that drive runs themselves (the `sas-serve` worker pool, through
-/// [`checkpoint::run_supervised_with`]) start here; [`run_spec_checked`] is
-/// the batteries-included wrapper.
+/// data image attached, *not* run. Hosts that drive runs themselves (the
+/// `sas-serve` worker pool, through [`checkpoint::run_supervised_with`])
+/// start here; [`run_spec_checked`] is the batteries-included wrapper.
 pub fn build_spec_system(profile: &Profile, m: Mitigation, iterations: u32) -> System {
-    let ws = cached_workloads(("spec", profile.name, iterations), || {
-        vec![build_workload(profile, iterations, SEED, 0)]
-    });
-    let mut sys = build_system(&SimConfig::table2(), ws[0].program.clone(), m);
-    ws[0].setup.apply(&mut sys);
+    let w = build_workload(profile, iterations, SEED, 0);
+    let mut sys = build_system(&SimConfig::table2(), w.program, m);
+    w.setup.apply(&mut sys);
     sys
 }
 
 /// Builds the 4-core system for one PARSEC workload (see
 /// [`build_spec_system`]).
 pub fn build_parsec_system(profile: &Profile, m: Mitigation, iterations: u32) -> System {
-    let ws = cached_workloads(("parsec", profile.name, iterations), || {
-        build_parsec_workload(profile, iterations, SEED, 4)
-    });
+    let ws = build_parsec_workload(profile, iterations, SEED, 4);
     let mut sys =
         build_multicore(&SimConfig::table2(), ws.iter().map(|w| w.program.clone()).collect(), m);
-    for w in ws.iter() {
+    for w in &ws {
         w.setup.apply(&mut sys);
     }
     sys

@@ -181,3 +181,28 @@ fn subject_final_reg(seed: u64, m: Mitigation, r: sas_isa::Reg) -> u64 {
     sys.run(BUDGET);
     sys.core(0).reg(r)
 }
+
+/// Snapshots carry only the pages a run materialised, never the program's
+/// initial image: a freshly built multi-MiB SPEC system snapshots small,
+/// and restores onto a fresh build to the same continuation.
+#[test]
+fn workload_snapshots_carry_only_materialised_pages() {
+    let profile = sas_workloads::spec_suite()
+        .into_iter()
+        .find(|p| p.name == "505.mcf_r")
+        .expect("mcf profile");
+    let mut a = sas_bench::build_spec_system(&profile, Mitigation::SpecAsan, 2);
+    let image: u64 = a.core(0).program().data().iter().map(|s| s.len()).sum();
+    a.run(2_000);
+    let bytes = specasan::snapshot::snapshot_system(&a, false).to_bytes();
+    assert!(
+        (bytes.len() as u64) < image / 16,
+        "snapshot {} bytes for a {image}-byte image",
+        bytes.len()
+    );
+    let mut b = sas_bench::build_spec_system(&profile, Mitigation::SpecAsan, 2);
+    let snap = sas_snap::Snapshot::parse(bytes).unwrap();
+    specasan::snapshot::restore_system(&mut b, &snap).unwrap();
+    assert_eq!(b.mem().arch.resident_pages(), a.mem().arch.resident_pages());
+    assert_eq!(digest(&a.run(u64::MAX / 2)), digest(&b.run(u64::MAX / 2)));
+}

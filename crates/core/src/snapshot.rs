@@ -2,14 +2,15 @@
 //!
 //! A snapshot is a [`sas_snap`] container with four sections:
 //!
-//! * `meta` — core count, a FNV-1a fingerprint of each core's program
-//!   (rendered back to `.sasm`), and each core's policy name. Checked on
-//!   restore so a snapshot can never be applied to a differently-configured
-//!   machine.
+//! * `meta` — core count, each core's [`sas_isa::Program::fingerprint`]
+//!   and policy name. Checked on restore so a snapshot can never be applied
+//!   to a differently-configured machine.
 //! * `system` — the cycle counter and run-loop progress trackers, plus
 //!   system-level telemetry series when armed.
-//! * `mem` — architectural memory, MTE tags, every cache/LFB/MSHR, the
-//!   prefetchers, ghost buffers, fault-stream cursors and memory stats.
+//! * `mem` — the materialised pages of architectural memory (the rest is
+//!   the program's initial image, which the fingerprint pins), MTE tags,
+//!   every cache/LFB/MSHR, the prefetchers, ghost buffers, fault-stream
+//!   cursors and memory stats.
 //! * `cores` — each core's full pipeline state (ROB, rename, fetch,
 //!   predictors, IRG RNG, stats, traces, policy counters), concatenated.
 //!
@@ -45,7 +46,7 @@ pub fn snapshot_system(system: &System, warm_base: bool) -> SnapshotBuilder {
     meta.usz(system.cores());
     for i in 0..system.cores() {
         let core = system.core(i);
-        meta.uv(sas_snap::fnv1a(core.program().to_sasm().as_bytes()));
+        meta.uv(core.program().fingerprint());
         meta.str(core.policy_name());
     }
     b.section("meta", meta);
@@ -81,6 +82,15 @@ pub fn snapshot_system(system: &System, warm_base: bool) -> SnapshotBuilder {
 pub fn restore_system(system: &mut System, snap: &Snapshot) -> Result<(), SnapError> {
     // All-or-nothing against corruption: no partial restore on a bad CRC.
     snap.verify()?;
+    // Images of older formats fingerprinted programs differently and stored
+    // the whole initial image; refuse them so the caller replays from start.
+    if snap.version() != sas_snap::VERSION {
+        return Err(SnapError::Mismatch {
+            what: "snapshot version",
+            expected: sas_snap::VERSION.to_string(),
+            found: snap.version().to_string(),
+        });
+    }
     let warm = snap.flags() & FLAG_WARM_BASE != 0;
     let snap_telemetry = snap.flags() & FLAG_TELEMETRY != 0;
     let have_telemetry = system.timeline(0).is_some();
@@ -105,7 +115,7 @@ pub fn restore_system(system: &mut System, snap: &Snapshot) -> Result<(), SnapEr
         let fp = meta.uv()?;
         let policy = meta.str()?;
         let core = system.core(i);
-        let have_fp = sas_snap::fnv1a(core.program().to_sasm().as_bytes());
+        let have_fp = core.program().fingerprint();
         if fp != have_fp {
             return Err(SnapError::Mismatch {
                 what: "program fingerprint",

@@ -182,6 +182,19 @@ fn mismatched_targets_are_rejected_with_structured_errors() {
         Err(SnapError::Mismatch { what: "telemetry", .. }) => {}
         other => panic!("expected telemetry mismatch, got {other:?}"),
     }
+
+    // An image of the previous format generation (header CRC re-stamped,
+    // so it parses) is refused; checkpoint consumers replay from start.
+    let mut old = a.snapshot(false).to_bytes();
+    old[8..10].copy_from_slice(&(sas_snap::VERSION - 1).to_le_bytes());
+    let crc = sas_snap::crc32(&old[..16]);
+    old[16..20].copy_from_slice(&crc.to_le_bytes());
+    let old = Snapshot::parse(old).expect("older versions still parse");
+    let mut f = build(&p1, Mitigation::SpecAsan, false);
+    match f.restore(&old) {
+        Err(SnapError::Mismatch { what: "snapshot version", .. }) => {}
+        other => panic!("expected version mismatch, got {other:?}"),
+    }
 }
 
 /// `write_snapshot`/`restore_from` round-trip through a file, atomically.

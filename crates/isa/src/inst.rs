@@ -231,7 +231,7 @@ pub enum AmoOp {
 ///
 /// Branch targets are instruction indices, resolved from labels by
 /// [`crate::ProgramBuilder`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Inst {
     /// `dst = op(lhs, rhs)`.
     Alu {

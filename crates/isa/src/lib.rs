@@ -43,9 +43,11 @@ pub mod inst;
 pub mod parse;
 pub mod program;
 pub mod reg;
+pub mod segment;
 
 pub use addr::{TagNibble, VirtAddr, GRANULE_BYTES, LINE_BYTES};
 pub use inst::{AluOp, AmoOp, BtiKind, Cond, Inst, MemWidth, Operand};
 pub use parse::{parse_program, ParseError};
-pub use program::{AsmError, DataSegment, Label, Program, ProgramBuilder};
+pub use program::{AsmError, Label, Program, ProgramBuilder};
 pub use reg::{Flags, Reg};
+pub use segment::{DataSegment, Generated, SegmentSource};

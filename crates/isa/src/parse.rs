@@ -206,6 +206,11 @@ fn split_operands(s: &str) -> Vec<String> {
 pub fn parse_program(text: &str) -> Result<Program, ParseError> {
     let mut asm = ProgramBuilder::new();
     let mut entry_label: Option<(String, usize)> = None;
+    // `.data` directives that continue the previous one exactly are
+    // coalesced into one segment: `Program::to_sasm` splits images into
+    // 32-byte directives, and a segment per directive would make every
+    // memory-image lookup scan thousands of them.
+    let mut pending: Option<(u64, Vec<u8>)> = None;
 
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -233,7 +238,16 @@ pub fn parse_program(text: &str) -> Result<Program, ParseError> {
                 }
                 data.push(v as u8);
             }
-            asm.data_segment(base, data);
+            match &mut pending {
+                Some((b, bytes)) if b.wrapping_add(bytes.len() as u64) == base => {
+                    bytes.extend_from_slice(&data);
+                }
+                _ => {
+                    if let Some((b, bytes)) = pending.replace((base, data)) {
+                        asm.data_segment(b, bytes);
+                    }
+                }
+            }
             continue;
         }
 
@@ -492,6 +506,9 @@ pub fn parse_program(text: &str) -> Result<Program, ParseError> {
         }
     }
 
+    if let Some((b, bytes)) = pending {
+        asm.data_segment(b, bytes);
+    }
     let mut program = asm
         .build()
         .map_err(|e| ParseError { line: 0, message: format!("unresolved label: {e}") })?;
@@ -564,7 +581,7 @@ mod tests {
         .unwrap();
         assert_eq!(p.entry(), p.label("main").unwrap());
         assert_eq!(p.data().len(), 1);
-        assert_eq!(p.data()[0].bytes, vec![1, 2, 0xFF]);
+        assert_eq!(p.data()[0].to_bytes(), vec![1, 2, 0xFF]);
     }
 
     #[test]
@@ -652,12 +669,24 @@ mod tests {
             let mut v: Vec<(u64, u8)> = p
                 .data()
                 .iter()
-                .flat_map(|s| s.bytes.iter().enumerate().map(move |(i, &b)| (s.base + i as u64, b)))
+                .flat_map(|s| {
+                    s.to_bytes().into_iter().enumerate().map(move |(i, b)| (s.base + i as u64, b))
+                })
                 .collect();
             v.sort_unstable();
             v
         };
         assert_eq!(flat(&original), flat(&back));
+    }
+
+    #[test]
+    fn contiguous_data_directives_coalesce_and_overlaps_keep_order() {
+        let p = parse_program(
+            ".data 0x100 = 1, 2\n.data 0x102 = 3\n.data 0x101 = 9\n.data 0x102 = 7\nHALT\n",
+        )
+        .unwrap();
+        let segs: Vec<(u64, Vec<u8>)> = p.data().iter().map(|s| (s.base, s.to_bytes())).collect();
+        assert_eq!(segs, vec![(0x100, vec![1, 2, 3]), (0x101, vec![9, 7])]);
     }
 
     #[test]

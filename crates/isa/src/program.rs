@@ -2,21 +2,13 @@
 
 use crate::inst::{AluOp, AmoOp, BtiKind, Cond, Inst, MemWidth, Operand};
 use crate::reg::Reg;
+use crate::segment::{DataSegment, SegmentSource};
 use std::collections::HashMap;
 use std::fmt;
 
 /// A symbolic branch target handed out by [`ProgramBuilder::new_label`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Label(usize);
-
-/// A chunk of initialised data memory.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DataSegment {
-    /// Untagged base virtual address.
-    pub base: u64,
-    /// Initial contents.
-    pub bytes: Vec<u8>,
-}
 
 /// Errors produced while assembling a [`Program`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -183,7 +175,7 @@ impl Program {
             let _ = writeln!(out, "    {line}");
         }
         for seg in &self.data {
-            for (k, chunk) in seg.bytes.chunks(32).enumerate() {
+            for (k, chunk) in seg.to_bytes().chunks(32).enumerate() {
                 let bytes: Vec<String> = chunk.iter().map(|b| b.to_string()).collect();
                 let _ = writeln!(
                     out,
@@ -194,6 +186,48 @@ impl Program {
             }
         }
         out
+    }
+
+    /// A 64-bit FNV-1a fingerprint of everything that defines a run: the
+    /// instructions, the entry point and the initial memory image. The
+    /// canonical form hashed is binary — each instruction's derived `Hash`
+    /// stream, then per segment its base and either its explicit bytes or
+    /// its generator descriptor — so it never renders the image as text
+    /// and never expands a generated segment. Clones share a fingerprint;
+    /// snapshots use it to refuse a restore onto a different program.
+    pub fn fingerprint(&self) -> u64 {
+        use std::hash::{Hash, Hasher};
+        /// Collects the byte stream `Hash` feeds a hasher.
+        struct Canonical(Vec<u8>);
+        impl Hasher for Canonical {
+            fn write(&mut self, bytes: &[u8]) {
+                self.0.extend_from_slice(bytes);
+            }
+            fn finish(&self) -> u64 {
+                unreachable!("only the collected bytes are used")
+            }
+        }
+        let mut c = Canonical(Vec::new());
+        self.insts.hash(&mut c);
+        c.write_u64(self.entry as u64);
+        c.write_u64(self.data.len() as u64);
+        for seg in &self.data {
+            c.write_u64(seg.base);
+            match &seg.source {
+                SegmentSource::Bytes(b) => {
+                    c.write_u8(0);
+                    c.write_u64(b.len() as u64);
+                    c.write(b);
+                }
+                SegmentSource::SplitMix(g) => {
+                    c.write_u8(1);
+                    c.write_u64(g.state());
+                    c.write_u64(g.len());
+                    c.write_u8(g.mask());
+                }
+            }
+        }
+        sas_snap::fnv1a(&c.0)
     }
 }
 
@@ -269,9 +303,15 @@ impl ProgramBuilder {
         self
     }
 
-    /// Adds an initialised data segment at `base`.
+    /// Adds an initialised data segment of explicit bytes at `base`.
     pub fn data_segment(&mut self, base: u64, bytes: Vec<u8>) -> &mut Self {
-        self.data.push(DataSegment { base, bytes });
+        self.segment(DataSegment::bytes(base, bytes))
+    }
+
+    /// Adds an initialised data segment. Segments declared later win where
+    /// they overlap earlier ones.
+    pub fn segment(&mut self, segment: DataSegment) -> &mut Self {
+        self.data.push(segment);
         self
     }
 
@@ -649,6 +689,25 @@ mod tests {
         let p = asm.build().unwrap();
         assert_eq!(p.data().len(), 1);
         assert_eq!(p.data()[0].base, 0x1000);
+    }
+
+    #[test]
+    fn fingerprint_tracks_instructions_bytes_and_seeds() {
+        let build = |imm: u16, byte: u8, state: u64| {
+            let mut asm = ProgramBuilder::new();
+            asm.data_segment(0x1000, vec![1, 2, byte]);
+            asm.segment(DataSegment::splitmix(0x2000, state, 1 << 20, 0xFF));
+            asm.movz(Reg::X0, imm, 0);
+            asm.halt();
+            asm.build().unwrap()
+        };
+        let p = build(7, 3, 42);
+        assert_eq!(p.fingerprint(), p.clone().fingerprint(), "clones share a fingerprint");
+        assert_eq!(p.fingerprint(), build(7, 3, 42).fingerprint(), "deterministic");
+        assert_ne!(p.fingerprint(), build(8, 3, 42).fingerprint(), "one instruction");
+        assert_ne!(p.fingerprint(), build(7, 4, 42).fingerprint(), "one explicit byte");
+        assert_ne!(p.fingerprint(), build(7, 3, 43).fingerprint(), "one generator seed");
+        assert_ne!(p.fingerprint(), p.with_nops(&[0]).fingerprint());
     }
 
     #[test]

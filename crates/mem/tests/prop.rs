@@ -125,3 +125,117 @@ fn coherent_write_read_across_cores() {
         assert!(m.load(1, a, 8, r.latency + 2, FillMode::Install, false).unwrap().latency > 2);
     });
 }
+
+// ---- segment-backed architectural memory ------------------------------------
+
+mod image {
+    use sas_isa::{DataSegment, SegmentSource, VirtAddr};
+    use sas_mem::MainMemory;
+    use sas_mte::SplitMix64;
+    use sas_ptest::{check, Rng};
+
+    const BASE: u64 = 0x7_0000;
+    /// The memory's page size (its materialisation granule).
+    const PAGE: u64 = 1024;
+    /// The window every segment and access stays in.
+    const SPAN: u64 = 32 * PAGE;
+
+    /// Random explicit and generated segments, overlapping freely.
+    fn segments(rng: &mut Rng) -> Vec<DataSegment> {
+        (0..rng.range(0, 7))
+            .map(|_| {
+                let len = rng.range(1, 12 * PAGE);
+                let base = BASE + rng.below(SPAN - len);
+                if rng.chance(0.5) {
+                    let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+                    DataSegment::bytes(base, bytes)
+                } else {
+                    let mask = [0xFF, 0x7F, 0x0F][rng.below(3) as usize];
+                    DataSegment::splitmix(base, rng.next_u64(), len, mask)
+                }
+            })
+            .collect()
+    }
+
+    /// The eagerly materialised image: every segment's bytes drawn in
+    /// order and copied in declaration order, as a full byte array.
+    fn eager(segs: &[DataSegment]) -> Vec<u8> {
+        let mut out = vec![0u8; SPAN as usize];
+        for seg in segs {
+            let bytes: Vec<u8> = match &seg.source {
+                SegmentSource::Bytes(b) => b.to_vec(),
+                SegmentSource::SplitMix(g) => {
+                    let mut rng = SplitMix64::new(g.state());
+                    (0..g.len()).map(|_| rng.next_u64() as u8 & g.mask()).collect()
+                }
+            };
+            let off = (seg.base - BASE) as usize;
+            out[off..off + bytes.len()].copy_from_slice(&bytes);
+        }
+        out
+    }
+
+    fn whole(m: &MainMemory) -> Vec<u8> {
+        m.read_bytes(VirtAddr::new(BASE), SPAN as usize)
+    }
+
+    fn le(bytes: &[u8]) -> u64 {
+        bytes.iter().rev().fold(0, |v, &b| (v << 8) | b as u64)
+    }
+
+    #[test]
+    fn segment_backed_memory_matches_an_eager_image() {
+        check("segment_backed_memory_matches_an_eager_image", 96, |rng| {
+            let segs = segments(rng);
+            let mut reference = eager(&segs);
+            let mut m = MainMemory::with_image(&segs);
+            assert_eq!(whole(&m), reference, "initial image");
+            let mut forked: Option<(MainMemory, Vec<u8>)> = None;
+            for _ in 0..rng.range(1, 120) {
+                let width = rng.range(1, 9);
+                let off = rng.below(SPAN - 8);
+                let a = VirtAddr::new(BASE + off);
+                let at = off as usize;
+                match rng.below(6) {
+                    0 | 1 => {
+                        let want = le(&reference[at..at + width as usize]);
+                        assert_eq!(m.read(a, width), want, "read {width} at {off:#x}");
+                    }
+                    2 | 3 => {
+                        let v = rng.next_u64();
+                        m.write(a, width, v);
+                        for i in 0..width as usize {
+                            reference[at + i] = (v >> (8 * i)) as u8;
+                        }
+                    }
+                    4 => {
+                        // Slices that straddle page edges.
+                        let edge = (rng.range(1, SPAN / PAGE) * PAGE) as usize;
+                        let lo = edge.saturating_sub(rng.range(0, 2 * PAGE) as usize);
+                        let hi = (edge + rng.range(0, 2 * PAGE) as usize).min(SPAN as usize);
+                        let mut out = vec![0u8; hi - lo];
+                        m.read_slice(VirtAddr::new(BASE + lo as u64), &mut out);
+                        assert_eq!(out, reference[lo..hi], "slice {lo:#x}..{hi:#x}");
+                    }
+                    _ => forked = Some((m.clone(), reference.clone())),
+                }
+            }
+            assert_eq!(whole(&m), reference, "final image");
+            // A clone is independent of every later write to the original.
+            if let Some((c, r)) = forked {
+                assert_eq!(whole(&c), r, "clone");
+            }
+            // Snapshots carry only materialised pages; restored onto a fresh
+            // build over the same image, they reproduce every byte.
+            let mut e = sas_snap::Enc::new();
+            m.encode(&mut e);
+            let bytes = e.into_bytes();
+            let mut fresh = MainMemory::with_image(&segs);
+            let mut d = sas_snap::Dec::new(&bytes, "mem");
+            fresh.restore(&mut d).unwrap();
+            d.finish().unwrap();
+            assert_eq!(fresh.resident_pages(), m.resident_pages());
+            assert_eq!(whole(&fresh), reference, "restored image");
+        });
+    }
+}

@@ -6,6 +6,7 @@
 //! trivially cloneable and with a stable output sequence — properties the
 //! `rand` crate's `StdRng` explicitly does not promise across versions.
 
+use sas_isa::segment::{splitmix64_mix, SPLITMIX64_GAMMA};
 use sas_isa::TagNibble;
 
 /// A SplitMix64 pseudo-random generator.
@@ -29,11 +30,14 @@ impl SplitMix64 {
 
     /// Next 64 random bits.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(SPLITMIX64_GAMMA);
+        splitmix64_mix(self.state)
+    }
+
+    /// Advances past `n` draws in O(1) (the generator is counter-based),
+    /// leaving it exactly where `n` calls to [`SplitMix64::next_u64`] would.
+    pub fn skip(&mut self, n: u64) {
+        self.state = self.state.wrapping_add(n.wrapping_mul(SPLITMIX64_GAMMA));
     }
 
     /// Uniform value in `[0, bound)`; returns 0 when `bound == 0`.
@@ -196,6 +200,18 @@ mod tests {
         }
         assert!(seen[1..].iter().all(|&s| s), "all 15 non-zero tags reachable");
         assert!(!seen[0]);
+    }
+
+    #[test]
+    fn skip_matches_sequential_draws() {
+        let mut a = SplitMix64::new(11);
+        let mut b = a.clone();
+        for _ in 0..1000 {
+            a.next_u64();
+        }
+        b.skip(1000);
+        assert_eq!(a, b);
+        assert_eq!(a.next_u64(), b.next_u64());
     }
 
     #[test]

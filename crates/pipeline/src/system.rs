@@ -11,7 +11,7 @@ use crate::core::{Core, CoreDump, FaultInfo, FaultKind};
 use crate::policy::MitigationPolicy;
 use crate::stats::CoreStats;
 use sas_isa::Program;
-use sas_mem::{MemConfig, MemSystem, MemSystemStats, MshrEntry, SimError};
+use sas_mem::{MainMemory, MemConfig, MemSystem, MemSystemStats, MshrEntry, SimError};
 use sas_oracle::{Divergence, FaultClass, Oracle};
 use sas_ptest::FaultPlan;
 use sas_telemetry::{GaugeSeries, MetricsRegistry, Timeline};
@@ -169,7 +169,7 @@ impl System {
     ) -> System {
         let program = Arc::new(program);
         let mut mem = MemSystem::new(1, mem_cfg);
-        Self::load_segments(&mut mem, &program);
+        mem.arch = MainMemory::with_image(program.data());
         System {
             mem,
             cores: vec![Core::new(0, cfg, program, policy)],
@@ -184,12 +184,6 @@ impl System {
         }
     }
 
-    fn load_segments(mem: &mut MemSystem, program: &Program) {
-        for seg in program.data() {
-            mem.arch.write_bytes(sas_isa::VirtAddr::new(seg.base), &seg.bytes);
-        }
-    }
-
     /// Builds a multi-core system; one `(program, policy)` pair per core,
     /// all sharing the L2 and main memory.
     pub fn multi_core(
@@ -200,9 +194,7 @@ impl System {
         assert!(!parts.is_empty(), "need at least one core");
         let n = parts.len();
         let mut mem = MemSystem::new(n, mem_cfg);
-        for (p, _) in &parts {
-            Self::load_segments(&mut mem, p);
-        }
+        mem.arch = MainMemory::with_image(parts.iter().flat_map(|(p, _)| p.data()));
         System {
             mem,
             cores: parts

@@ -18,7 +18,7 @@ fn interpret(program: &Program, max_steps: usize) -> Option<([u64; 33], Flags, M
     let mut flags = Flags::default();
     let mut mem = MainMemory::new();
     for seg in program.data() {
-        mem.write_bytes(VirtAddr::new(seg.base), &seg.bytes);
+        mem.write_bytes(VirtAddr::new(seg.base), &seg.to_bytes());
     }
     let mut pc = program.entry();
     let r = |regs: &[u64; 33], reg: Reg| if reg.is_zero() { 0 } else { regs[reg.index()] };

@@ -27,7 +27,7 @@ use crate::{capture, heartbeat, sweep};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Environment variable selecting the default worker count.
@@ -396,6 +396,9 @@ fn env_failure(cell: &CellId, exit: &str, detail: String) -> CellOutcome {
 /// How often the supervisor reports child heartbeats on stderr.
 const HEARTBEAT_PRINT_PERIOD: Duration = Duration::from_secs(2);
 
+/// Reap poll period once a child has closed its stdout.
+const EXIT_POLL: Duration = Duration::from_millis(1);
+
 fn run_child(cell: &CellId, cfg: &Config, attempt: u32) -> ChildEnd {
     let id = cell.to_string();
     // With a state dir armed, heartbeats live next to the checkpoints so the
@@ -450,18 +453,24 @@ fn run_child(cell: &CellId, cfg: &Config, attempt: u32) -> ChildEnd {
         Err(e) => return ChildEnd::Environmental(env_failure(cell, "spawn", e.to_string())),
     };
     // Drain both pipes on reader threads so a chatty child never blocks on a
-    // full pipe while the parent only polls `try_wait`; the captures are
-    // byte-bounded (head + tail) so a looping child cannot OOM the
-    // supervisor either.
+    // full pipe; the captures are byte-bounded (head + tail) so a looping
+    // child cannot OOM the supervisor either. The stdout reader also reports
+    // EOF — the child closing stdout, which it does by exiting — so the
+    // supervisor reaps a finished child at once instead of on a poll tick.
     let stdout_pipe = child.stdout.take().expect("piped stdout");
     let stderr_pipe = child.stderr.take().expect("piped stderr");
-    let stdout_reader =
-        std::thread::spawn(move || capture::capture_bounded(stdout_pipe, capture::DEFAULT_CAP));
+    let (eof_tx, eof_rx) = mpsc::channel::<()>();
+    let stdout_reader = std::thread::spawn(move || {
+        let capture = capture::capture_bounded(stdout_pipe, capture::DEFAULT_CAP);
+        let _ = eof_tx.send(());
+        capture
+    });
     let stderr_reader =
         std::thread::spawn(move || capture::capture_bounded(stderr_pipe, capture::DEFAULT_CAP));
 
     let started = Instant::now();
     let mut last_print = Instant::now();
+    let mut stdout_open = true;
     let status = loop {
         match child.try_wait() {
             Ok(Some(status)) => break status,
@@ -474,8 +483,8 @@ fn run_child(cell: &CellId, cfg: &Config, attempt: u32) -> ChildEnd {
                     heartbeat::remove(&hb_path);
                     return ChildEnd::Timeout;
                 }
-                // Each watchdog poll also checks the child's heartbeat file;
-                // progress lines are throttled so they stay readable.
+                // Progress lines from the child's heartbeat file are
+                // throttled so they stay readable.
                 if last_print.elapsed() >= HEARTBEAT_PRINT_PERIOD {
                     last_print = Instant::now();
                     if let Some(hb) = heartbeat::read(&hb_path) {
@@ -488,7 +497,21 @@ fn run_child(cell: &CellId, cfg: &Config, attempt: u32) -> ChildEnd {
                         );
                     }
                 }
-                std::thread::sleep(Duration::from_millis(15));
+                // Wait for stdout EOF, bounded by the watchdog and the next
+                // heartbeat print. After EOF the exit is in flight (or the
+                // child closed stdout and kept running): poll briefly.
+                let wait = cfg
+                    .timeout
+                    .saturating_sub(started.elapsed())
+                    .min(HEARTBEAT_PRINT_PERIOD.saturating_sub(last_print.elapsed()));
+                if stdout_open {
+                    stdout_open = matches!(
+                        eof_rx.recv_timeout(wait),
+                        Err(mpsc::RecvTimeoutError::Timeout)
+                    );
+                } else {
+                    std::thread::sleep(wait.min(EXIT_POLL));
+                }
             }
             Err(e) => {
                 let _ = child.kill();

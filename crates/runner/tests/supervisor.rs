@@ -97,6 +97,11 @@ fn watchdog_kills_hung_cell_and_records_timeout() {
         "watchdog did not kill the hang in time ({:?})",
         started.elapsed()
     );
+    assert!(
+        started.elapsed() >= Duration::from_millis(1200),
+        "killed before the watchdog ({:?})",
+        started.elapsed()
+    );
     let records = manifest::load_and_repair(&manifest_path).unwrap();
     assert_eq!(records.len(), 1);
     assert_eq!(records[0].exit, "timeout", "{records:?}");
@@ -108,14 +113,15 @@ fn watchdog_kills_hung_cell_and_records_timeout() {
 fn flaky_cell_succeeds_after_environmental_retry() {
     let dir = tmp_dir("flaky");
     let manifest_path = dir.join("m.jsonl");
-    let (ok, stdout, _stderr) = run_capture(&[
+    let started = Instant::now();
+    let (ok, stdout, stderr) = run_capture(&[
         "run",
         "--cells",
         "selftest/flaky",
         "--retries",
         "2",
         "--backoff-ms",
-        "10",
+        "300",
         "--no-shrink",
         "--manifest",
         manifest_path.to_str().unwrap(),
@@ -124,6 +130,15 @@ fn flaky_cell_succeeds_after_environmental_retry() {
     let records = manifest::load_and_repair(&manifest_path).unwrap();
     assert_eq!(records.len(), 1);
     assert!(records[0].ok && records[0].attempts == 2, "{records:?}");
+    // The retry waited out its seeded backoff: reaping a child on exit
+    // must not shortcut the delay between attempts.
+    let expected = sas_runner::supervisor::backoff_delay(
+        Duration::from_millis(300),
+        1,
+        sas_snap::fnv1a(b"selftest/flaky"),
+    );
+    assert!(stderr.contains(&format!("retrying in {} ms", expected.as_millis())), "{stderr}");
+    assert!(started.elapsed() >= expected, "{:?} < {expected:?}", started.elapsed());
 }
 
 /// The checkpoint/resume contract, against a real SIGKILL: a campaign is
@@ -421,4 +436,108 @@ fn checkpointed_cell_resumes_bit_identically_after_crash_and_sigkill() {
         "a SIGKILLed campaign resumed from its checkpoint must reproduce the reference"
     );
     assert!(!ckpt.exists(), "a completed cell must drop its checkpoint");
+}
+
+// ---- exit-driven reaping ---------------------------------------------------
+//
+// The supervisor learns that a child finished from its stdout EOF, not on a
+// poll tick. These tests, with the watchdog and retry tests above, pin the
+// cases that change could break: a child that closes stdout early, pipe
+// draining, and the reap latency itself.
+
+/// A supervisor policy that runs `child_exe` for every cell, serially.
+fn script_config(dir: &std::path::Path, child_exe: PathBuf, timeout: Duration) -> Config {
+    let mut cfg = Config::new(dir.join("m.jsonl"));
+    cfg.jobs = 1;
+    cfg.timeout = timeout;
+    cfg.shrink = false;
+    cfg.child_exe = child_exe;
+    cfg
+}
+
+/// Writes an executable `/bin/sh` script standing in for the child
+/// `sas-runner cell <id>`.
+fn child_script(dir: &std::path::Path, name: &str, body: &str) -> PathBuf {
+    use std::os::unix::fs::PermissionsExt;
+    let path = dir.join(name);
+    std::fs::write(&path, format!("#!/bin/sh\n{body}\n")).unwrap();
+    std::fs::set_permissions(&path, std::fs::Permissions::from_mode(0o755)).unwrap();
+    path
+}
+
+/// The result line a successful `selftest/ok` child prints.
+fn ok_result_line() -> String {
+    let outcome = sas_runner::cell::CellOutcome {
+        cell: "selftest/ok".to_string(),
+        ok: true,
+        exit: "halted".to_string(),
+        detail: String::new(),
+        cycles: 0,
+        restored: false,
+        retriable: false,
+        cpi: None,
+    };
+    format!("{}{}", sas_runner::cell::RESULT_MARKER, outcome.to_json())
+}
+
+#[test]
+fn child_that_closes_stdout_and_hangs_is_still_killed_at_the_timeout() {
+    let dir = tmp_dir("close-hang");
+    let exe = child_script(&dir, "child.sh", "exec 1>&-\nexec sleep 60");
+    let cfg = script_config(&dir, exe, Duration::from_millis(500));
+    let started = Instant::now();
+    let report = sas_runner::run_campaign(&[CellId::parse("selftest/ok").unwrap()], &cfg).unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(report.records.len(), 1);
+    assert_eq!(report.records[0].exit, "timeout", "{:?}", report.records);
+    assert!(elapsed >= Duration::from_millis(500), "killed before the watchdog: {elapsed:?}");
+    assert!(elapsed < Duration::from_secs(20), "watchdog fired late: {elapsed:?}");
+}
+
+#[test]
+fn chatty_child_cannot_deadlock_on_its_pipes() {
+    let dir = tmp_dir("chatty");
+    // 4 MiB on each pipe: far past the kernel pipe buffer, so a supervisor
+    // that stopped draining either pipe would hang until the watchdog.
+    let body = format!(
+        "head -c 4194304 /dev/zero | tr '\\0' 'e' >&2\n\
+         head -c 4194304 /dev/zero | tr '\\0' 'o'\n\
+         echo\necho '{}'",
+        ok_result_line()
+    );
+    let exe = child_script(&dir, "child.sh", &body);
+    let cfg = script_config(&dir, exe, Duration::from_secs(60));
+    let report = sas_runner::run_campaign(&[CellId::parse("selftest/ok").unwrap()], &cfg).unwrap();
+    assert_eq!(report.records.len(), 1);
+    let r = &report.records[0];
+    assert!(r.ok && r.exit == "halted", "{r:?}");
+    assert!(r.duration_ms < 30_000, "{r:?}");
+}
+
+#[test]
+fn serial_ok_cells_are_reaped_when_they_exit() {
+    // A 15 ms reap poll would put 50 serial cells at >= 750 ms and every
+    // cell at >= 15 ms; reaping on exit leaves each at process start-up.
+    let dir = tmp_dir("reap");
+    let manifest_path = dir.join("m.jsonl");
+    let cells = vec!["selftest/ok"; 50].join(",");
+    let started = Instant::now();
+    let (ok, stdout, _stderr) = run_capture(&[
+        "run",
+        "--cells",
+        &cells,
+        "--jobs",
+        "1",
+        "--no-shrink",
+        "--manifest",
+        manifest_path.to_str().unwrap(),
+    ]);
+    let elapsed = started.elapsed();
+    assert!(ok, "{stdout}");
+    let records = manifest::load_and_repair(&manifest_path).unwrap();
+    assert_eq!(records.len(), 50);
+    let mut per_cell: Vec<u64> = records.iter().map(|r| r.duration_ms).collect();
+    per_cell.sort_unstable();
+    assert!(per_cell[25] < 15, "median cell {} ms: reaped on a poll tick? {per_cell:?}", per_cell[25]);
+    assert!(elapsed < Duration::from_millis(50 * 15), "50 cells took {elapsed:?}");
 }

@@ -173,6 +173,22 @@ fn smoke_simulate_trace_lint_status_healthz() {
     assert_eq!(doc.get("ok"), Some(&Json::Bool(true)));
 }
 
+#[test]
+fn deeply_nested_rpc_body_is_a_parse_error_not_a_crash() {
+    let server = Server::start(small_config("deep")).unwrap();
+    let port = server.port();
+    let (status, _, doc) = rpc(port, &"[".repeat(1_000_000));
+    assert_eq!(status, 400, "{doc:?}");
+    let error = doc.get("error").unwrap_or_else(|| panic!("no error in {doc:?}"));
+    assert_eq!(error.get("code").and_then(Json::as_num), Some(-32700.0), "{doc:?}");
+    let message = error.get("message").and_then(Json::as_str).unwrap_or_default();
+    assert!(message.contains("nesting"), "{doc:?}");
+    // The daemon survived and still serves.
+    let (status, _, doc) = http(port, "GET", "/healthz", "", "test");
+    assert_eq!(status, 200);
+    assert_eq!(doc.get("ok"), Some(&Json::Bool(true)));
+}
+
 fn json_string(s: &str) -> String {
     format!("\"{}\"", sas_serve::http::json_escape(s))
 }

@@ -31,9 +31,11 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"SASNAP\x00\x01";
 
 /// Current snapshot format version. Readers reject anything newer; older
-/// versions are migrated explicitly (none exist yet — see DESIGN.md §11 for
-/// the migration policy).
-pub const VERSION: u16 = 1;
+/// versions are migrated explicitly or refused (see DESIGN.md §11 for the
+/// migration policy). Version 2 fingerprints programs with
+/// `Program::fingerprint` and stores only materialised memory pages; whole-
+/// machine restores refuse version-1 images, which replay from start.
+pub const VERSION: u16 = 2;
 
 /// Header flag: the snapshot is a warmed-baseline image — caches, predictors
 /// and architectural state warmed under the unprotected baseline. Restoring

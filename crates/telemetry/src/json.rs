@@ -60,9 +60,16 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Recursive descent uses
+/// stack per level, so unbounded input depth (a JSON-RPC body of a million
+/// `[`) would overflow the stack and abort the process instead of failing.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -96,8 +103,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -115,6 +122,17 @@ impl<'a> Parser<'a> {
         } else {
             Err(self.err(&format!("bad literal (expected {word})")))
         }
+    }
+
+    /// Parses one array or object one nesting level down.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -211,12 +229,14 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control char in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next quote,
+                    // escape or control byte. Those are all ASCII, so the run
+                    // ends on a char boundary of the (already valid) input.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(c) if c >= 0x20 && c != b'"' && c != b'\\') {
+                        self.pos += 1;
+                    }
+                    s.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -253,7 +273,7 @@ impl<'a> Parser<'a> {
 
 /// Parses `input` as a single JSON document, rejecting trailing garbage.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0, depth: 0 };
     let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -320,6 +340,38 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_overflowing_the_stack() {
+        let deep = "[".repeat(1_000_000);
+        let e = parse(&deep).unwrap_err();
+        assert!(e.contains("nesting deeper than 128"), "{e}");
+        let objs = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objs).is_err());
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&ok).is_ok(), "exactly MAX_DEPTH levels parse");
+    }
+
+    #[test]
+    fn megabyte_escaped_string_round_trips() {
+        let unit = "plain \"quoted\" back\\slash\nnew\tline é ✓ 🦀 \u{1}";
+        let original = unit.repeat((1 << 20) / unit.len() + 1);
+        assert!(original.len() >= 1 << 20);
+        let mut doc = String::from("[\"");
+        for c in original.chars() {
+            match c {
+                '"' => doc.push_str("\\\""),
+                '\\' => doc.push_str("\\\\"),
+                '\n' => doc.push_str("\\n"),
+                '\t' => doc.push_str("\\t"),
+                c if (c as u32) < 0x20 => doc.push_str(&format!("\\u{:04x}", c as u32)),
+                c => doc.push(c),
+            }
+        }
+        doc.push_str("\"]");
+        let parsed = parse(&doc).unwrap();
+        assert_eq!(parsed.as_arr().unwrap()[0].as_str(), Some(original.as_str()));
     }
 
     #[test]

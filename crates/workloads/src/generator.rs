@@ -1,13 +1,16 @@
 //! The synthetic program generator.
 
 use crate::profile::Profile;
-use sas_isa::{BtiKind, Cond, Operand, Program, ProgramBuilder, Reg, TagNibble, VirtAddr};
+use sas_isa::{
+    BtiKind, Cond, DataSegment, Operand, Program, ProgramBuilder, Reg, TagNibble, VirtAddr,
+};
 use sas_mte::SplitMix64;
 use sas_pipeline::System;
 
 /// Number of data arrays each workload slices its footprint into.
 const ARRAYS: usize = 4;
-/// Byte value guard entries stay below, so guard branches never fire.
+/// Byte value guard entries stay below, so guard branches never fire (a
+/// power of two: guard bytes are random bytes masked with `GUARD_LIMIT - 1`).
 const GUARD_LIMIT: u8 = 0x80;
 /// Blocks generated per outer-loop iteration.
 const BLOCKS_PER_ITER: usize = 8;
@@ -257,8 +260,13 @@ pub(crate) fn build_workload_inner(
     let mut asm = ProgramBuilder::new();
 
     // Data segments: pseudorandom bytes; array 0 doubles as the chase ring.
+    // Only the ring is materialised here. Every other array is a seeded
+    // SplitMix64 segment whose bytes are drawn when first read, and the
+    // generator jumps past the bytes it stands for, so the stream after the
+    // data is exactly what drawing them would have left.
     let mut tagged = [None; ARRAYS];
     let mut setup = WorkloadSetup::default();
+    let seg_len = array_size.min(1 << 20);
     for k in 0..ARRAYS {
         let base = data_base + k as u64 * array_size;
         let tag = if rng.chance(profile.tagged_frac) {
@@ -269,12 +277,12 @@ pub(crate) fn build_workload_inner(
             None
         };
         tagged[k] = tag;
-        let mut bytes = vec![0u8; array_size.min(1 << 20) as usize];
-        for b in bytes.iter_mut() {
-            *b = rng.next_u64() as u8;
-        }
+        let state = rng.state();
+        rng.skip(seg_len);
         if k == 0 {
             // Chase ring: 8-byte tagged pointers forming one random cycle.
+            // They overwrite every random byte, so none are drawn.
+            let mut bytes = vec![0u8; seg_len as usize];
             let entries = (bytes.len() / 8).max(2);
             let mut perm: Vec<usize> = (0..entries).collect();
             for i in (1..entries).rev() {
@@ -296,8 +304,10 @@ pub(crate) fn build_workload_inner(
                 }
                 bytes[i * 8..i * 8 + 8].copy_from_slice(&ptr.raw().to_le_bytes());
             }
+            asm.data_segment(base, bytes);
+        } else {
+            asm.segment(DataSegment::splitmix(base, state, seg_len, 0xFF));
         }
-        asm.data_segment(base, bytes);
     }
     // Guard array: strided validity bytes, always below the check limit.
     // Guards walk metadata (object headers, bounds words) scattered across
@@ -306,13 +316,8 @@ pub(crate) fn build_workload_inner(
     // the speculation windows restrictive defenses serialize on.
     let guard_size: u64 = 1 << 21;
     let guard_base = data_base + ARRAYS as u64 * array_size;
-    {
-        let mut bytes = vec![0u8; guard_size as usize];
-        for b in bytes.iter_mut() {
-            *b = (rng.next_u64() as u8) % GUARD_LIMIT;
-        }
-        asm.data_segment(guard_base, bytes);
-    }
+    asm.segment(DataSegment::splitmix(guard_base, rng.state(), guard_size, GUARD_LIMIT - 1));
+    rng.skip(guard_size);
 
     // Scratch granule (retag target).
     let scratch = data_base + SCRATCH_OFF;
@@ -369,7 +374,7 @@ pub(crate) fn build_workload_inner(
     }
 
     // --- body --------------------------------------------------------------
-    let mut g = Gen { profile, rng, array_mask: array_size.min(1 << 20) - 64, tmp_rr: 0 };
+    let mut g = Gen { profile, rng, array_mask: seg_len - 64, tmp_rr: 0 };
     let outer = asm.here();
     for _ in 0..BLOCKS_PER_ITER {
         g.emit_block(&mut asm, leaf);
