@@ -186,7 +186,12 @@ fn verdict_json(v: &sas_analyze::xval::AttackVerdict) -> String {
     format!(
         "{{\"attack\":\"{}\",\"dynamic_leak\":{},\"gadgets\":{},\"agree\":{},\
          \"hardened_gadgets\":{},\"cuts\":{}}}",
-        v.name, v.dynamic_leak, v.gadget_count, v.agrees(), v.hardened_gadgets, v.cuts,
+        sas_telemetry::json::escape(v.name),
+        v.dynamic_leak,
+        v.gadget_count,
+        v.agrees(),
+        v.hardened_gadgets,
+        v.cuts,
     )
 }
 

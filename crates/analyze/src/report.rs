@@ -121,31 +121,16 @@ impl Finding {
         )
     }
 
-    /// Renders the finding as one JSON line (hand-rolled; the workspace is
-    /// dependency-free).
+    /// Renders the finding as one JSON line.
     pub fn to_json_line(&self) -> String {
         format!(
             "{{\"severity\":\"{}\",\"kind\":\"{}\",\"pc\":{},\"detail\":\"{}\"}}",
             self.kind.severity(),
             self.kind.code(),
             self.pc,
-            json_escape(&self.detail),
+            sas_telemetry::json::escape(&self.detail),
         )
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

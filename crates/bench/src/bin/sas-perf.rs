@@ -19,6 +19,7 @@
 //!   without running anything; nonzero exit on a malformed file.
 
 use sas_bench::run_spec;
+use sas_telemetry::json::{self, escape, Json};
 use sas_workloads::spec_suite;
 use specasan::Mitigation;
 use std::fmt::Write as _;
@@ -81,7 +82,7 @@ fn main() {
         return;
     }
 
-    let prior = std::fs::read_to_string(&out).ok();
+    let prior = std::fs::read_to_string(&out).ok().and_then(|p| json::parse(&p).ok());
     let cells = measure(iters);
     let total = totals(&cells);
     println!(
@@ -91,20 +92,18 @@ fn main() {
         total.sim_ips(),
         total.cycles_per_sec()
     );
+    let prior_section =
+        |key: &str| prior.as_ref()?.get(key).and_then(|v| Section::from_json(v, key).ok());
 
     // Baseline: an explicit re-record wins; otherwise carry forward the one
     // committed in the existing trajectory file; otherwise this first
     // recording becomes its own baseline.
     let baseline = match &record_baseline {
-        Some(label) => render_total(&total, Some(label)),
-        None => match prior.as_deref().and_then(|p| extract_object(p, "baseline")) {
-            Some(b) => b.to_string(),
-            None => render_total(&total, Some("first recording")),
-        },
+        Some(label) => Section::of(&total, Some(label)),
+        None => prior_section("baseline")
+            .unwrap_or_else(|| Section::of(&total, Some("first recording"))),
     };
-    let base_ips = number_field(&baseline, "sim_ips")
-        .unwrap_or_else(|| fail("baseline section lacks sim_ips"));
-    let speedup = total.sim_ips() / base_ips.max(1e-9);
+    let speedup = total.sim_ips() / baseline.sim_ips.max(1e-9);
     println!("sas-perf: {speedup:.2}x sim-instructions/sec vs baseline");
 
     // PR-to-PR delta: compare against the *previous* recording's total,
@@ -112,9 +111,9 @@ fn main() {
     // compare against themselves (zero delta). The previous totals are
     // written into the file so the query layer can chart the trajectory
     // without diffing git history.
-    let prev_total = prior.as_deref().and_then(|p| extract_object(p, "total"));
-    let prev_wall_ms = prev_total.and_then(|t| number_field(t, "wall_ms")).unwrap_or(total.wall_ms);
-    let prev_sim_ips = prev_total.and_then(|t| number_field(t, "sim_ips")).unwrap_or(total.sim_ips());
+    let prev_total = prior_section("total");
+    let prev_wall_ms = prev_total.as_ref().map_or(total.wall_ms, |t| t.wall_ms);
+    let prev_sim_ips = prev_total.as_ref().map_or(total.sim_ips(), |t| t.sim_ips);
     let delta_wall_ms = total.wall_ms - prev_wall_ms;
     let delta_sim_ips_pct = 100.0 * (total.sim_ips() / prev_sim_ips.max(1e-9) - 1.0);
     if delta_sim_ips_pct < -20.0 {
@@ -177,22 +176,57 @@ fn totals(cells: &[CellPerf]) -> CellPerf {
     }
 }
 
-fn render_total(t: &CellPerf, label: Option<&str>) -> String {
-    let mut s = String::from("{");
-    if let Some(l) = label {
-        let _ = write!(s, "\"label\":\"{}\",", l.replace('"', "'"));
+/// A `total` or `baseline` section: suite totals and throughput.
+#[derive(Debug)]
+struct Section {
+    label: Option<String>,
+    wall_ms: f64,
+    committed: u64,
+    cycles: u64,
+    sim_ips: f64,
+    cycles_per_sec: f64,
+}
+
+impl Section {
+    fn of(t: &CellPerf, label: Option<&str>) -> Section {
+        Section {
+            label: label.map(str::to_string),
+            wall_ms: t.wall_ms,
+            committed: t.committed,
+            cycles: t.cycles,
+            sim_ips: t.sim_ips(),
+            cycles_per_sec: t.cycles_per_sec(),
+        }
     }
-    let _ = write!(
-        s,
-        "\"wall_ms\":{:.3},\"committed\":{},\"cycles\":{},\
-         \"sim_ips\":{:.1},\"cycles_per_sec\":{:.1}}}",
-        t.wall_ms,
-        t.committed,
-        t.cycles,
-        t.sim_ips(),
-        t.cycles_per_sec()
-    );
-    s
+
+    /// Reads a section back; `what` names it in the error.
+    fn from_json(v: &Json, what: &str) -> Result<Section, String> {
+        let lacks = |kind: &str, k: &str| format!("{what} lacks {kind} {k:?}");
+        let num = |k: &str| v.get(k).and_then(Json::as_num).ok_or_else(|| lacks("numeric", k));
+        let int = |k: &str| v.get(k).and_then(Json::as_u64).ok_or_else(|| lacks("integer", k));
+        Ok(Section {
+            label: v.get("label").and_then(Json::as_str).map(str::to_string),
+            wall_ms: num("wall_ms")?,
+            committed: int("committed")?,
+            cycles: int("cycles")?,
+            sim_ips: num("sim_ips")?,
+            cycles_per_sec: num("cycles_per_sec")?,
+        })
+    }
+
+    fn render(&self) -> String {
+        let mut s = String::from("{");
+        if let Some(l) = &self.label {
+            let _ = write!(s, "\"label\":\"{}\",", escape(l));
+        }
+        let _ = write!(
+            s,
+            "\"wall_ms\":{:.3},\"committed\":{},\"cycles\":{},\
+             \"sim_ips\":{:.1},\"cycles_per_sec\":{:.1}}}",
+            self.wall_ms, self.committed, self.cycles, self.sim_ips, self.cycles_per_sec
+        );
+        s
+    }
 }
 
 /// PR-to-PR trajectory deltas versus the previous committed recording.
@@ -207,7 +241,7 @@ fn render(
     iters: u32,
     cells: &[CellPerf],
     total: &CellPerf,
-    baseline: &str,
+    baseline: &Section,
     speedup: f64,
     deltas: &Deltas,
 ) -> String {
@@ -224,8 +258,8 @@ fn render(
             "    {{\"benchmark\":\"{}\",\"mitigation\":\"{}\",\"cycles\":{},\
              \"committed\":{},\"wall_ms\":{:.3},\"sim_ips\":{:.1},\
              \"cycles_per_sec\":{:.1},\"restored\":{}}}{comma}",
-            c.benchmark,
-            c.mitigation,
+            escape(&c.benchmark),
+            escape(&c.mitigation),
             c.cycles,
             c.committed,
             c.wall_ms,
@@ -235,8 +269,8 @@ fn render(
         );
     }
     let _ = writeln!(s, "  ],");
-    let _ = writeln!(s, "  \"total\": {},", render_total(total, None));
-    let _ = writeln!(s, "  \"baseline\": {baseline},");
+    let _ = writeln!(s, "  \"total\": {},", Section::of(total, None).render());
+    let _ = writeln!(s, "  \"baseline\": {},", baseline.render());
     let _ = writeln!(s, "  \"speedup_sim_ips\": {speedup:.3},");
     let _ = writeln!(s, "  \"prev_total_wall_ms\": {:.3},", deltas.prev_wall_ms);
     let _ = writeln!(s, "  \"prev_total_sim_ips\": {:.1},", deltas.prev_sim_ips);
@@ -246,86 +280,128 @@ fn render(
     s
 }
 
-/// Extracts the balanced-brace object following `"key":` from a JSON
-/// document. A full parser is overkill for the two fixed sections this tool
-/// reads back out of its own output format.
-fn extract_object<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let at = doc.find(&pat)?;
-    let rest = doc[at + pat.len()..].trim_start();
-    if !rest.starts_with('{') {
-        return None;
-    }
-    let mut depth = 0usize;
-    for (i, b) in rest.bytes().enumerate() {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Extracts a numeric field from a flat JSON object snippet.
-fn number_field(obj: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = obj.find(&pat)?;
-    let rest = obj[at + pat.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Structural check of a trajectory file: schema tag, a non-empty `cells`
-/// array whose every row carries the per-cell metrics, and `total` /
-/// `baseline` sections with throughput numbers. Returns the cell count.
+/// array whose every row carries the per-cell metrics, `total` and
+/// `baseline` sections with throughput numbers, and the top-level speedup
+/// and trajectory deltas. Returns the cell count.
 fn validate_schema(doc: &str) -> Result<usize, String> {
-    if !doc.contains(&format!("\"schema\": \"{SCHEMA}\"")) {
+    let doc = json::parse(doc)?;
+    if doc.get("schema").and_then(Json::as_str) != Some(SCHEMA) {
         return Err(format!("missing schema tag {SCHEMA:?}"));
     }
-    let cells_at = doc.find("\"cells\": [").ok_or("missing cells array")?;
-    let cells_end = doc[cells_at..].find(']').ok_or("unterminated cells array")? + cells_at;
-    let rows: Vec<&str> =
-        doc[cells_at..cells_end].lines().filter(|l| l.trim_start().starts_with('{')).collect();
-    if rows.is_empty() {
+    let cells = doc.get("cells").and_then(Json::as_arr).ok_or("missing cells array")?;
+    if cells.is_empty() {
         return Err("empty cells array".into());
     }
-    for (i, row) in rows.iter().enumerate() {
-        for field in [
-            "benchmark",
-            "mitigation",
-            "cycles",
-            "committed",
-            "wall_ms",
-            "sim_ips",
-            "cycles_per_sec",
-            "restored",
-        ]
-        {
-            if !row.contains(&format!("\"{field}\":")) {
-                return Err(format!("cell {i} lacks field {field:?}"));
-            }
+    for (i, cell) in cells.iter().enumerate() {
+        let lacks = |field: &str| format!("cell {i} lacks field {field:?}");
+        for field in ["benchmark", "mitigation"] {
+            cell.get(field).and_then(Json::as_str).ok_or_else(|| lacks(field))?;
         }
+        for field in ["cycles", "committed", "wall_ms", "sim_ips", "cycles_per_sec"] {
+            cell.get(field).and_then(Json::as_num).ok_or_else(|| lacks(field))?;
+        }
+        cell.get("restored").and_then(Json::as_bool).ok_or_else(|| lacks("restored"))?;
     }
     for section in ["total", "baseline"] {
-        let obj = extract_object(doc, section).ok_or(format!("missing {section} section"))?;
-        for field in ["wall_ms", "committed", "cycles", "sim_ips", "cycles_per_sec"] {
-            if number_field(obj, field).is_none() {
-                return Err(format!("{section} section lacks numeric {field:?}"));
-            }
-        }
+        let v = doc.get(section).ok_or(format!("missing {section} section"))?;
+        Section::from_json(v, &format!("{section} section"))?;
     }
     for field in
         ["speedup_sim_ips", "prev_total_wall_ms", "prev_total_sim_ips", "delta_wall_ms", "delta_sim_ips_pct"]
     {
-        number_field(doc, field).ok_or(format!("missing {field}"))?;
+        doc.get(field).and_then(Json::as_num).ok_or(format!("missing {field}"))?;
     }
-    Ok(rows.len())
+    Ok(cells.len())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every key whose removal must fail validation.
+    const REQUIRED: [&str; 17] = [
+        "schema",
+        "cells",
+        "benchmark",
+        "mitigation",
+        "cycles",
+        "committed",
+        "wall_ms",
+        "sim_ips",
+        "cycles_per_sec",
+        "restored",
+        "total",
+        "baseline",
+        "speedup_sim_ips",
+        "prev_total_wall_ms",
+        "prev_total_sim_ips",
+        "delta_wall_ms",
+        "delta_sim_ips_pct",
+    ];
+
+    fn committed_trajectory() -> String {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fig6.json");
+        std::fs::read_to_string(path).expect("committed BENCH_fig6.json")
+    }
+
+    #[test]
+    fn the_committed_trajectory_is_accepted() {
+        let doc = committed_trajectory();
+        let cells = validate_schema(&doc).unwrap();
+        assert_eq!(cells, doc.matches("\"benchmark\":").count());
+    }
+
+    #[test]
+    fn removing_any_required_field_or_section_fails() {
+        // The file puts every cell and section on a line of its own, so
+        // renaming a key on one line removes it from exactly one place.
+        let doc = committed_trajectory();
+        let lines: Vec<&str> = doc.lines().collect();
+        let mut removals = 0;
+        for (i, line) in lines.iter().enumerate() {
+            for key in REQUIRED {
+                let pat = format!("\"{key}\":");
+                if !line.contains(&pat) {
+                    continue;
+                }
+                let mut mutated = lines.clone();
+                let renamed = line.replacen(&pat, &format!("\"{key}_gone\":"), 1);
+                mutated[i] = &renamed;
+                let err = validate_schema(&mutated.join("\n"));
+                assert!(err.is_err(), "line {i} without {key:?} was accepted");
+                removals += 1;
+            }
+        }
+        // Every required key was removed at least once.
+        assert!(removals > REQUIRED.len(), "{removals}");
+    }
+
+    #[test]
+    fn a_bracket_inside_a_string_does_not_end_the_cells_array() {
+        let doc = committed_trajectory();
+        let n = validate_schema(&doc).unwrap();
+        let odd = doc.replacen("\"mitigation\":\"unsafe\"", "\"mitigation\":\"odd]name\"", 1);
+        assert_ne!(odd, doc);
+        assert_eq!(validate_schema(&odd), Ok(n));
+        // A defect in the last cell is still seen past the bracket.
+        let last = odd.rfind("\"restored\":").unwrap();
+        let broken = format!("{}\"restored_gone\":{}", &odd[..last], &odd[last + 11..]);
+        assert!(validate_schema(&broken).unwrap_err().contains(&format!("cell {}", n - 1)));
+    }
+
+    #[test]
+    fn a_wrong_schema_tag_is_rejected() {
+        let doc = committed_trajectory().replacen(SCHEMA, "sas-bench-fig6-v2", 1);
+        assert!(validate_schema(&doc).unwrap_err().contains("schema"));
+    }
+
+    #[test]
+    fn the_baseline_carries_forward_byte_for_byte() {
+        let doc = committed_trajectory();
+        let parsed = json::parse(&doc).unwrap();
+        let baseline = Section::from_json(parsed.get("baseline").unwrap(), "baseline").unwrap();
+        let line = doc.lines().find(|l| l.contains("\"baseline\":")).unwrap();
+        assert_eq!(line, format!("  \"baseline\": {},", baseline.render()));
+    }
 }

@@ -7,8 +7,8 @@
 //! are appended there too.
 
 use sas_pipeline::RunExit;
+use sas_snap::AppendLog;
 use std::fmt::Write as _;
-use std::io::Write as _;
 
 /// A JSON scalar for one record field.
 #[derive(Debug, Clone, Copy)]
@@ -23,8 +23,8 @@ pub enum Value<'a> {
     Bool(bool),
     /// A pre-serialized JSON fragment spliced in verbatim (e.g. the nested
     /// `cpi` breakdown from `CpiStack::to_json`). The caller guarantees it
-    /// is well-formed JSON; note the runner's manifest parser is flat-only
-    /// and must never be fed records with `Raw` objects.
+    /// is well-formed JSON. Runner manifest rows are flat by format (their
+    /// CPI stack is one flat string), so they never carry `Raw` objects.
     Raw(&'a str),
 }
 
@@ -51,19 +51,7 @@ impl From<bool> for Value<'_> {
 
 fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    sas_telemetry::json::escape_into(out, s);
     out.push('"');
 }
 
@@ -121,24 +109,17 @@ pub fn render(bench: &str, fields: &[(&str, Value)]) -> String {
 /// Emits one result record: prints the JSON line to stdout and appends it to
 /// the file named by `SAS_BENCH_JSONL`, if that variable is set.
 ///
-/// The file append is torn-write-safe: the record and its newline go down in
-/// a **single** `write` on a descriptor opened in append mode, then the file
-/// is flushed — so concurrent worker processes cannot interleave inside one
-/// another's rows, and a child killed mid-record can tear at most its own
-/// trailing line (which manifest readers detect and truncate).
+/// The file append goes through `sas_snap::AppendLog`: one write of the
+/// record and its newline, then a flush — so concurrent worker processes
+/// cannot interleave inside one another's rows, and a child killed
+/// mid-record can tear at most its own trailing line (which readers detect
+/// and truncate).
 pub fn emit(bench: &str, fields: &[(&str, Value)]) {
     let line = render(bench, fields);
     println!("{line}");
     if let Ok(path) = std::env::var("SAS_BENCH_JSONL") {
         if !path.is_empty() {
-            if let Ok(mut f) =
-                std::fs::OpenOptions::new().create(true).append(true).open(&path)
-            {
-                let mut rec = line;
-                rec.push('\n');
-                let _ = f.write_all(rec.as_bytes());
-                let _ = f.flush();
-            }
+            let _ = AppendLog::open(path.as_ref()).and_then(|mut log| log.append(&line));
         }
     }
 }

@@ -14,6 +14,7 @@ use sas_analyze::{analyze, AnalysisConfig};
 use sas_isa::{Inst, Program, Reg};
 use sas_ptest::shrink::ddmin_mask;
 use sas_ptest::Rng;
+use sas_telemetry::json::{self, Json};
 use specasan::SimConfig;
 use std::time::Instant;
 
@@ -263,13 +264,15 @@ impl Report {
     }
 }
 
-/// Validates a `BENCH_lint.json` body: schema tag plus every counter key.
+/// Validates a `BENCH_lint.json` body: schema tag, seed, and every counter
+/// as a number.
 pub fn validate_bench(body: &str) -> Result<(), String> {
-    if !body.contains(&format!("\"schema\": \"{BENCH_SCHEMA}\"")) {
+    let doc = json::parse(body)?;
+    if doc.get("schema").and_then(Json::as_str) != Some(BENCH_SCHEMA) {
         return Err(format!("missing or wrong schema tag (want {BENCH_SCHEMA})"));
     }
+    doc.get("seed").and_then(Json::as_str).ok_or("missing key \"seed\"")?;
     for key in [
-        "seed",
         "cases",
         "agree_clean",
         "agree_leak",
@@ -281,9 +284,7 @@ pub fn validate_bench(body: &str) -> Result<(), String> {
         "precision_bugs",
         "analyze_programs_per_sec",
     ] {
-        if !body.contains(&format!("\"{key}\":")) {
-            return Err(format!("missing key \"{key}\""));
-        }
+        doc.get(key).and_then(Json::as_num).ok_or(format!("missing key \"{key}\""))?;
     }
     Ok(())
 }

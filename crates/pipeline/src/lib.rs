@@ -37,5 +37,5 @@ pub use policy::{
 pub use predictor::{BranchPredictor, Btb, Gshare, PredictorStats, Rsb};
 pub use sas_telemetry::{CpiBucket, CpiStack, GaugeSeries, Histogram, MetricsRegistry, Timeline};
 pub use stats::{CoreStats, DelayTable};
-pub use system::{CrashDump, RunExit, RunResult, System};
+pub use system::{CrashDump, RunExit, RunResult, System, HEARTBEAT_SCHEMA};
 pub use trace::{Trace, TraceEvent};

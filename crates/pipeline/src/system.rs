@@ -19,6 +19,10 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+/// Schema tag of the heartbeat line [`System::set_heartbeat`] writes; the
+/// supervisors' reader (`sas_runner::heartbeat`) requires it.
+pub const HEARTBEAT_SCHEMA: &str = "sas-hb-v2";
+
 /// Why a run ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RunExit {
@@ -266,7 +270,7 @@ impl System {
     /// Arms a liveness heartbeat: every `every` cycles the file at `path`
     /// is atomically rewritten with one line,
     /// `{"schema":"sas-hb-v2","cycle":<current>,"committed":<total>,"cpi":"base=…"}`
-    /// — cheap enough for long campaigns (the flat CPI string is built
+    /// (the tag is [`HEARTBEAT_SCHEMA`]) — cheap enough for long campaigns (the flat CPI string is built
     /// only at heartbeat boundaries, never in the per-cycle loop) and
     /// trivially parseable by a supervisor polling the file.
     pub fn set_heartbeat(&mut self, path: impl Into<PathBuf>, every: u64) {
@@ -343,7 +347,7 @@ impl System {
                 let flat =
                     cpi.encode_flat(&crate::policy::DelayCause::ALL.map(|c| c.name()));
                 let line = format!(
-                    "{{\"schema\":\"sas-hb-v2\",\"cycle\":{},\"committed\":{committed},\"cpi\":\"{flat}\"}}\n",
+                    "{{\"schema\":\"{HEARTBEAT_SCHEMA}\",\"cycle\":{},\"committed\":{committed},\"cpi\":\"{flat}\"}}\n",
                     self.cycle
                 );
                 // Write-temp-then-rename: the supervisor polls this file from

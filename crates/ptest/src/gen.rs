@@ -188,6 +188,28 @@ pub fn vec_of<T: 'static>(elem: &Gen<T>, len: std::ops::Range<usize>) -> Gen<Vec
     })
 }
 
+/// A string of `len` characters drawn to stress text codecs: every ASCII
+/// control character, `"` and `\`, printable ASCII, DEL, and two- to
+/// four-byte UTF-8 characters.
+///
+/// ```
+/// use sas_ptest::{gen, Rng};
+/// let s = gen::text(0..40).sample(&mut Rng::new(3));
+/// assert!(s.chars().count() < 40);
+/// ```
+pub fn text(len: std::ops::Range<usize>) -> Gen<String> {
+    let chars = frequency(vec![
+        (3, u32s(0..0x20)),
+        (2, select(vec!['"' as u32, '\\' as u32, 0x7f])),
+        (6, u32s(0x20..0x7f)),
+        (2, u32s(0x80..0x800)),
+        (1, u32s(0x800..0xD800)),
+        (1, u32s(0x1_0000..0x11_0000)),
+    ])
+    .map(|c| char::from_u32(c).expect("ranges skip the surrogates"));
+    vec_of(&chars, len).map(|cs| cs.into_iter().collect())
+}
+
 /// Four independent draws (the harness analogue of `uniform4`).
 pub fn array4<T: 'static>(elem: &Gen<T>) -> Gen<[T; 4]> {
     let elem = elem.clone();

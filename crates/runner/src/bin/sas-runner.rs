@@ -356,7 +356,7 @@ fn cmd_probe(args: &[String]) -> ExitCode {
         cell::probe_signature(&cell, iters, &nops, plan.as_ref())
     }))
     .unwrap_or_else(|_| "panic".to_string());
-    println!("{}{{\"signature\":\"{sig}\"}}", cell::RESULT_MARKER);
+    println!("{}{{\"signature\":\"{}\"}}", cell::RESULT_MARKER, sas_telemetry::json::escape(&sig));
     ExitCode::SUCCESS
 }
 

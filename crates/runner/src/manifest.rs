@@ -1,10 +1,13 @@
 //! Crash-safe JSONL campaign manifest.
 //!
-//! One flat JSON object per line, one line per supervised cell. Writes are
-//! torn-write-safe: each record goes down as a **single** `write` (record +
-//! trailing newline) on a descriptor opened in append mode, followed by a
-//! flush — so concurrent workers never interleave inside a row and a
-//! supervisor killed mid-write can tear at most the trailing line.
+//! One flat JSON object per line, one line per supervised cell. Rows are
+//! flat because that is the row format (`sas-query` reads scalar columns;
+//! the CPI stack travels as one flat string), not because of any parser
+//! limit: rows are read back through the workspace's one JSON parser,
+//! `sas_telemetry::json`. The file discipline is `sas_snap::AppendLog`'s:
+//! each record goes down as a **single** write of the row and its newline,
+//! then a flush — so concurrent workers never interleave inside a row and
+//! a supervisor killed mid-write can tear at most the trailing line.
 //!
 //! The manifest doubles as the campaign checkpoint: [`load_and_repair`]
 //! parses it back, truncates a torn trailing line in place, and returns the
@@ -12,10 +15,10 @@
 //! (failed rows count as completed — a deterministic failure would only
 //! reproduce).
 
-use std::collections::HashMap;
+use sas_snap::AppendLog;
+use sas_telemetry::json::{self, Json};
 use std::fmt::Write as _;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Read as _, Write as _};
+use std::io;
 use std::path::Path;
 
 /// One supervised cell's outcome — a manifest row.
@@ -41,8 +44,8 @@ pub struct Record {
     /// Repro-bundle directory written by the shrinker, if any.
     pub repro: Option<String>,
     /// The child's final commit-time CPI stack, flat-encoded
-    /// (`CpiStack::encode_flat`: `base=12;fetch_stall=3;...`) so it stays a
-    /// scalar string through the flat-only manifest parser.
+    /// (`CpiStack::encode_flat`: `base=12;fetch_stall=3;...`) so the row
+    /// stays flat.
     pub cpi: Option<String>,
 }
 
@@ -72,18 +75,19 @@ impl Record {
 
     /// Parses a record from one manifest line.
     pub fn from_json(line: &str) -> Option<Record> {
-        let map = parse_flat(line)?;
+        let doc = json::parse(line).ok()?;
+        let text = |k: &str| doc.get(k).and_then(Json::as_str).map(str::to_string);
         Some(Record {
-            cell: map.get("cell")?.as_str()?.to_string(),
-            ok: map.get("ok")?.as_bool()?,
-            exit: map.get("exit")?.as_str()?.to_string(),
-            detail: map.get("detail")?.as_str()?.to_string(),
-            attempts: map.get("attempts")?.as_u64()? as u32,
-            cycles: map.get("cycles")?.as_u64()?,
-            restored: map.get("restored").and_then(|v| v.as_bool()).unwrap_or(false),
-            duration_ms: map.get("duration_ms")?.as_u64()?,
-            repro: map.get("repro").and_then(|v| v.as_str()).map(str::to_string),
-            cpi: map.get("cpi").and_then(|v| v.as_str()).map(str::to_string),
+            cell: text("cell")?,
+            ok: doc.get("ok")?.as_bool()?,
+            exit: text("exit")?,
+            detail: text("detail")?,
+            attempts: u32::try_from(doc.get("attempts")?.as_u64()?).ok()?,
+            cycles: doc.get("cycles")?.as_u64()?,
+            restored: doc.get("restored").and_then(Json::as_bool).unwrap_or(false),
+            duration_ms: doc.get("duration_ms")?.as_u64()?,
+            repro: text("repro"),
+            cpi: text("cpi"),
         })
     }
 }
@@ -92,216 +96,31 @@ fn push_str_field(out: &mut String, key: &str, value: &str, first: bool) {
     if !first {
         out.push(',');
     }
-    let _ = write!(out, "\"{key}\":");
-    push_escaped(out, value);
+    let _ = write!(out, "\"{key}\":\"");
+    json::escape_into(out, value);
+    out.push('"');
 }
 
 fn push_raw_field(out: &mut String, key: &str, raw: &str) {
     let _ = write!(out, ",\"{key}\":{raw}");
 }
 
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// A scalar value in a flat JSON object.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Scalar {
-    /// A JSON string.
-    Str(String),
-    /// A non-negative JSON number.
-    Num(u64),
-    /// A JSON boolean.
-    Bool(bool),
-}
-
-impl Scalar {
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Scalar::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Scalar::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Scalar::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-}
-
-/// Parses one flat JSON object (`{"k":scalar,...}`; no nesting, no arrays,
-/// no floats) — the exact shape every runner record uses. Returns `None` on
-/// any syntax it does not understand, which is how torn manifest lines are
-/// detected.
-pub fn parse_flat(line: &str) -> Option<HashMap<String, Scalar>> {
-    let mut chars = line.trim().chars().peekable();
-    if chars.next()? != '{' {
-        return None;
-    }
-    let mut map = HashMap::new();
-    loop {
-        match chars.peek()? {
-            '}' => {
-                chars.next();
-                break;
-            }
-            ',' => {
-                chars.next();
-            }
-            _ => {}
-        }
-        if *chars.peek()? == '}' {
-            chars.next();
-            break;
-        }
-        let key = parse_string(&mut chars)?;
-        if chars.next()? != ':' {
-            return None;
-        }
-        let value = match *chars.peek()? {
-            '"' => Scalar::Str(parse_string(&mut chars)?),
-            't' | 'f' => {
-                let mut word = String::new();
-                while chars.peek().is_some_and(|c| c.is_ascii_alphabetic()) {
-                    word.push(chars.next()?);
-                }
-                match word.as_str() {
-                    "true" => Scalar::Bool(true),
-                    "false" => Scalar::Bool(false),
-                    _ => return None,
-                }
-            }
-            c if c.is_ascii_digit() => {
-                let mut num = String::new();
-                while chars.peek().is_some_and(|c| c.is_ascii_digit()) {
-                    num.push(chars.next()?);
-                }
-                Scalar::Num(num.parse().ok()?)
-            }
-            _ => return None,
-        };
-        map.insert(key, value);
-    }
-    if chars.next().is_some() {
-        return None;
-    }
-    Some(map)
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars>) -> Option<String> {
-    if chars.next()? != '"' {
-        return None;
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let mut code = 0u32;
-                    for _ in 0..4 {
-                        code = code * 16 + chars.next()?.to_digit(16)?;
-                    }
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-}
-
-/// Append-mode manifest writer; every [`Writer::append`] is one atomic-ish
-/// `write` + flush (see module docs).
-#[derive(Debug)]
-pub struct Writer {
-    file: File,
-}
-
-impl Writer {
-    /// Opens (creating if needed) `path` for appending.
-    pub fn open(path: &Path) -> io::Result<Writer> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Writer { file })
-    }
-
-    /// Appends one record as a single write, then flushes.
-    pub fn append(&mut self, record: &Record) -> io::Result<()> {
-        let mut line = record.to_json();
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
-        self.file.flush()
-    }
-}
-
-/// Loads a manifest, repairing torn state in place: parsing stops at the
-/// first line that is incomplete (no trailing newline) or unparsable, the
-/// file is truncated to the end of the last good line, and the good records
+/// Loads a manifest, repairing torn state in place: a torn trailing line
+/// (no newline) is cut off, parsing stops at the first unparsable row, the
+/// file is truncated to the end of the last good row, and the good records
 /// are returned. A missing manifest is an empty campaign, not an error.
 pub fn load_and_repair(path: &Path) -> io::Result<Vec<Record>> {
-    let mut file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(e),
-    };
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    drop(file);
+    let log = AppendLog::recover(path)?;
     let mut records = Vec::new();
-    let mut good_len = 0usize;
-    let mut start = 0usize;
-    while start < bytes.len() {
-        let Some(nl) = bytes[start..].iter().position(|&b| b == b'\n') else {
-            break; // torn trailing line: no newline
-        };
-        let line = String::from_utf8_lossy(&bytes[start..start + nl]);
-        match Record::from_json(&line) {
-            Some(r) => {
-                records.push(r);
-                start += nl + 1;
-                good_len = start;
+    for row in log.rows() {
+        match row.text.and_then(Record::from_json) {
+            Some(r) => records.push(r),
+            None => {
+                // Corrupt: stop trusting the rest of the file.
+                AppendLog::truncate(path, row.start)?;
+                break;
             }
-            None => break, // torn or corrupt: stop trusting the rest
         }
-    }
-    if good_len < bytes.len() {
-        OpenOptions::new().write(true).open(path)?.set_len(good_len as u64)?;
     }
     Ok(records)
 }
@@ -344,32 +163,32 @@ mod tests {
     #[test]
     fn writer_appends_and_loader_reads_back() {
         let path = tmp("roundtrip");
-        let mut w = Writer::open(&path).unwrap();
+        let mut w = AppendLog::open(&path).unwrap();
         let a = sample("spec/505.mcf_r/stt", true);
         let b = sample("spec/505.mcf_r/fence", false);
-        w.append(&a).unwrap();
-        w.append(&b).unwrap();
+        w.append(&a.to_json()).unwrap();
+        w.append(&b.to_json()).unwrap();
         assert_eq!(load_and_repair(&path).unwrap(), vec![a, b]);
     }
 
     #[test]
     fn torn_trailing_line_is_truncated_in_place() {
         let path = tmp("torn");
-        let mut w = Writer::open(&path).unwrap();
+        let mut w = AppendLog::open(&path).unwrap();
         let a = sample("spec/505.mcf_r/stt", true);
-        w.append(&a).unwrap();
+        w.append(&a.to_json()).unwrap();
         // Simulate a supervisor killed mid-write: a partial row, no newline.
         use std::io::Write as _;
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        let mut f = std::fs::OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(b"{\"cell\":\"spec/505.mcf_r/fe").unwrap();
         drop(f);
         let records = load_and_repair(&path).unwrap();
         assert_eq!(records, vec![a.clone()]);
         // The file itself was repaired: loading again sees the same rows and
         // appending continues cleanly.
-        let mut w = Writer::open(&path).unwrap();
+        let mut w = AppendLog::open(&path).unwrap();
         let b = sample("spec/505.mcf_r/fence", false);
-        w.append(&b).unwrap();
+        w.append(&b.to_json()).unwrap();
         assert_eq!(load_and_repair(&path).unwrap(), vec![a, b]);
     }
 
@@ -388,5 +207,78 @@ mod tests {
     fn missing_manifest_is_an_empty_campaign() {
         let path = tmp("missing").with_file_name("never-written.jsonl");
         assert_eq!(load_and_repair(&path).unwrap(), Vec::new());
+    }
+
+    #[test]
+    fn records_keep_their_pinned_bytes() {
+        // The manifest's row format, byte for byte: `--resume`, `sas-query`
+        // and the perf harness read manifests that older builds wrote
+        // (`{DEL}` stands for U+007F, which is not escaped).
+        let failed = Record {
+            cell: "spec/505.mcf_r/stt".into(),
+            ok: false,
+            exit: "panic".into(),
+            detail: "boom \"quoted\" back\\slash\nline\ttab\r\u{1}\u{1f} é ✓ \u{7f}".into(),
+            attempts: 3,
+            cycles: 123_456_789,
+            restored: true,
+            duration_ms: 4321,
+            repro: Some("target/repro/spec-505.mcf_r-stt".into()),
+            cpi: Some("base=100;fetch_stall=2;TaintedAddress=9".into()),
+        };
+        let pinned = r#"{"cell":"spec/505.mcf_r/stt","ok":false,"exit":"panic","detail":"boom \"quoted\" back\\slash\nline\ttab\r\u0001\u001f é ✓ {DEL}","attempts":3,"cycles":123456789,"restored":true,"duration_ms":4321,"repro":"target/repro/spec-505.mcf_r-stt","cpi":"base=100;fetch_stall=2;TaintedAddress=9"}"#;
+        assert_eq!(failed.to_json(), pinned.replace("{DEL}", "\u{7f}"));
+        let ok = Record {
+            ok: true,
+            exit: "halted".into(),
+            detail: String::new(),
+            restored: false,
+            repro: None,
+            cpi: None,
+            ..failed
+        };
+        assert_eq!(
+            ok.to_json(),
+            r#"{"cell":"spec/505.mcf_r/stt","ok":true,"exit":"halted","detail":"","attempts":3,"cycles":123456789,"duration_ms":4321}"#
+        );
+    }
+
+    #[test]
+    fn records_round_trip_for_any_text() {
+        use sas_ptest::{check, gen};
+        let text = gen::text(0..48);
+        let opt_text = |rng: &mut sas_ptest::Rng| rng.chance(0.5).then(|| text.sample(rng));
+        check("manifest_record_round_trip", 256, |rng| {
+            let r = Record {
+                cell: text.sample(rng),
+                ok: rng.chance(0.5),
+                exit: text.sample(rng),
+                detail: text.sample(rng),
+                attempts: gen::u32s(0..u32::MAX).sample(rng),
+                cycles: gen::u64s(0..1 << 53).sample(rng),
+                restored: rng.chance(0.5),
+                duration_ms: gen::u64s(0..1 << 53).sample(rng),
+                repro: opt_text(rng),
+                cpi: opt_text(rng),
+            };
+            let line = r.to_json();
+            assert!(!line.contains('\n'), "{line}");
+            assert_eq!(Record::from_json(&line), Some(r), "{line}");
+        });
+    }
+
+    #[test]
+    fn counts_must_be_exact_integers_in_range() {
+        let line = sample("a", true).to_json();
+        for (from, to) in [
+            ("\"attempts\":2", "\"attempts\":4294967296"),
+            ("\"attempts\":2", "\"attempts\":-2"),
+            ("\"cycles\":123456", "\"cycles\":123456.5"),
+            ("\"cycles\":123456", "\"cycles\":18446744073709551615"),
+        ] {
+            let bad = line.replacen(from, to, 1);
+            assert_ne!(bad, line);
+            assert_eq!(Record::from_json(&bad), None, "{bad}");
+        }
     }
 }

@@ -26,6 +26,7 @@
 
 use crate::cell::{self, CellId};
 use crate::supervisor::Config;
+use sas_telemetry::json::{self, Json};
 use std::io::Read as _;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -130,7 +131,7 @@ impl Prober<'_> {
         }
         let stdout = String::from_utf8_lossy(&reader.join().ok()?).into_owned();
         let line = stdout.lines().rev().find_map(|l| l.trim().strip_prefix(cell::RESULT_MARKER))?;
-        crate::manifest::parse_flat(line)?.get("signature")?.as_str().map(str::to_string)
+        json::parse(line).ok()?.get("signature")?.as_str().map(str::to_string)
     }
 }
 
@@ -307,7 +308,7 @@ fn write_bundle(
         if !first {
             meta.push(',');
         }
-        let _ = write!(meta, "\"{key}\":\"{}\"", val.replace('\\', "\\\\").replace('"', "\\\""));
+        let _ = write!(meta, "\"{key}\":\"{}\"", json::escape(val));
     };
     field(&mut meta, "cell", &cell.to_string(), true);
     field(&mut meta, "signature", &out.signature, false);
@@ -367,8 +368,8 @@ pub fn load_bundle(dir: &std::path::Path) -> Result<BundleMeta, String> {
     bundle_name(dir)?;
     let text = std::fs::read_to_string(dir.join("meta.json"))
         .map_err(|e| format!("{}: {e}", dir.join("meta.json").display()))?;
-    let map = crate::manifest::parse_flat(text.trim()).ok_or("meta.json: unparsable")?;
-    let get = |k: &str| map.get(k).and_then(|v| v.as_str()).map(str::to_string);
+    let doc = json::parse(&text).map_err(|e| format!("meta.json: unparsable: {e}"))?;
+    let get = |k: &str| doc.get(k).and_then(Json::as_str).map(str::to_string);
     let cell = CellId::parse(&get("cell").ok_or("meta.json: missing cell")?)?;
     let nops_csv = get("nops").unwrap_or_default();
     let nops: Vec<usize> = if nops_csv.is_empty() {
@@ -382,13 +383,14 @@ pub fn load_bundle(dir: &std::path::Path) -> Result<BundleMeta, String> {
     Ok(BundleMeta {
         cell,
         signature: get("signature").ok_or("meta.json: missing signature")?,
-        iters: map
+        iters: doc
             .get("iters")
-            .and_then(|v| v.as_u64())
-            .ok_or("meta.json: missing iters")? as u32,
+            .and_then(Json::as_u64)
+            .and_then(|n| u32::try_from(n).ok())
+            .ok_or("meta.json: missing iters")?,
         nops,
         plan: get("plan"),
-        tail_cycle: map.get("tail_cycle").and_then(|v| v.as_u64()),
+        tail_cycle: doc.get("tail_cycle").and_then(Json::as_u64),
     })
 }
 

@@ -262,7 +262,7 @@ pub fn run_campaign(cells: &[CellId], cfg: &Config) -> std::io::Result<CampaignR
     }
 
     let queue = Mutex::new(queue);
-    let writer = Mutex::new(manifest::Writer::open(&cfg.manifest_path)?);
+    let writer = Mutex::new(sas_snap::AppendLog::open(&cfg.manifest_path)?);
     let records = Mutex::new(Vec::new());
     let workers = cfg.jobs.max(1).min(cells.len().max(1));
     std::thread::scope(|scope| {
@@ -284,7 +284,7 @@ pub fn run_campaign(cells: &[CellId], cfg: &Config) -> std::io::Result<CampaignR
                 writer
                     .lock()
                     .expect("manifest lock")
-                    .append(&record)
+                    .append(&record.to_json())
                     .expect("manifest append");
                 records.lock().expect("records lock").push(record);
             });

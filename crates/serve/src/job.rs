@@ -15,10 +15,9 @@ use sas_attacks::spectre::spectre_v1_program;
 use sas_attacks::{layout, GadgetFlavor};
 use sas_bench::checkpoint::{run_supervised_with, CheckpointPlan, Interrupt, Interrupted};
 use sas_pipeline::{CpiStack, DelayCause, RunExit, RunResult, System};
-use sas_runner::manifest::Scalar;
+use sas_telemetry::json::Json;
 use sas_workloads::spec_suite;
 use specasan::{build_system, Mitigation, SimConfig};
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
@@ -181,17 +180,17 @@ impl JobSpec {
 
     /// Reparses a journal row's flat fields (inverse of
     /// [`JobSpec::journal_fields`]).
-    pub fn from_journal(map: &HashMap<String, Scalar>) -> Option<JobSpec> {
-        let kind = map.get("kind")?.as_str()?;
+    pub fn from_journal(row: &Json) -> Option<JobSpec> {
+        let kind = row.get("kind")?.as_str()?;
         let target = || {
             Target::from_fields(
-                map.get("target").and_then(Scalar::as_str),
-                map.get("program").and_then(Scalar::as_str),
+                row.get("target").and_then(Json::as_str),
+                row.get("program").and_then(Json::as_str),
             )
             .ok()
         };
-        let mitigation = || Mitigation::parse(map.get("mitigation")?.as_str()?);
-        let iters = || map.get("iters")?.as_u64().map(|n| n as u32);
+        let mitigation = || Mitigation::parse(row.get("mitigation")?.as_str()?);
+        let iters = || u32::try_from(row.get("iters")?.as_u64()?).ok();
         match kind {
             "simulate" => Some(JobSpec::Simulate {
                 target: target()?,
@@ -202,13 +201,13 @@ impl JobSpec {
                 target: target()?,
                 mitigation: mitigation()?,
                 iters: iters()?,
-                chrome: map.get("chrome")?.as_bool()?,
+                chrome: row.get("chrome")?.as_bool()?,
             }),
             "lint" => Some(JobSpec::Lint {
-                program: map.get("program")?.as_str()?.to_string(),
-                suggest: map.get("suggest")?.as_bool()?,
+                program: row.get("program")?.as_str()?.to_string(),
+                suggest: row.get("suggest")?.as_bool()?,
             }),
-            "spin" => Some(JobSpec::Spin { millis: map.get("millis")?.as_u64()? }),
+            "spin" => Some(JobSpec::Spin { millis: row.get("millis")?.as_u64()? }),
             _ => None,
         }
     }
@@ -452,21 +451,25 @@ fn run_spin(millis: u64) -> JobEnd {
 /// queue metadata (priority, deadline budget).
 pub fn parse_request(
     method: &str,
-    params: &sas_telemetry::json::Json,
+    params: &Json,
 ) -> Result<(JobSpec, Priority, Option<u64>), String> {
     let get_str = |key: &str| params.get(key).and_then(|v| v.as_str());
-    let get_u64 = |key: &str| params.get(key).and_then(|v| v.as_num()).map(|n| n as u64);
+    let get_u64 = |key: &str| {
+        let v = params.get(key).map(|v| v.as_u64());
+        v.map(|n| n.ok_or_else(|| format!("\"{key}\" must be a non-negative integer"))).transpose()
+    };
     let get_bool = |key: &str| {
-        params.get(key).map(|v| match v {
-            sas_telemetry::json::Json::Bool(b) => Ok(*b),
-            _ => Err(format!("\"{key}\" must be a boolean")),
-        })
+        let v = params.get(key).map(|v| v.as_bool());
+        v.map(|b| b.ok_or_else(|| format!("\"{key}\" must be a boolean"))).transpose()
     };
     let mitigation = match get_str("mitigation") {
         None => Mitigation::SpecAsan,
         Some(s) => Mitigation::parse(s).ok_or_else(|| format!("unknown mitigation {s:?}"))?,
     };
-    let iters = get_u64("iters").map(|n| n as u32).unwrap_or(DEFAULT_ITERS);
+    let iters = match get_u64("iters")? {
+        None => DEFAULT_ITERS,
+        Some(n) => u32::try_from(n).map_err(|_| format!("\"iters\" {n} is out of range"))?,
+    };
     let target = || Target::from_fields(get_str("target"), get_str("program"));
     let spec = match method {
         "simulate" => JobSpec::Simulate { target: target()?, mitigation, iters },
@@ -474,26 +477,26 @@ pub fn parse_request(
             target: target()?,
             mitigation,
             iters,
-            chrome: get_bool("chrome").transpose()?.unwrap_or(false),
+            chrome: get_bool("chrome")?.unwrap_or(false),
         },
         "lint" => JobSpec::Lint {
             program: get_str("program").ok_or("missing \"program\"")?.to_string(),
-            suggest: get_bool("suggest").transpose()?.unwrap_or(false),
+            suggest: get_bool("suggest")?.unwrap_or(false),
         },
-        "spin" => JobSpec::Spin { millis: get_u64("millis").unwrap_or(0) },
+        "spin" => JobSpec::Spin { millis: get_u64("millis")?.unwrap_or(0) },
         other => return Err(format!("unknown method {other:?}")),
     };
     let priority = match get_str("priority") {
         None => Priority::Normal,
         Some(s) => Priority::parse(s).ok_or_else(|| format!("unknown priority {s:?}"))?,
     };
-    Ok((spec, priority, get_u64("deadline_ms")))
+    Ok((spec, priority, get_u64("deadline_ms")?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sas_runner::manifest::parse_flat;
+    use sas_telemetry::json;
 
     /// A well-formed program that never halts: only cooperative
     /// interruption (cancel / deadline / park) can end its simulation.
@@ -505,8 +508,8 @@ mod tests {
             row.push_str(&format!(",\"{k}\":{v}"));
         }
         row.push('}');
-        let map = parse_flat(&row).unwrap_or_else(|| panic!("unparseable row {row}"));
-        JobSpec::from_journal(&map).unwrap_or_else(|| panic!("undecodable row {row}"))
+        let doc = json::parse(&row).unwrap_or_else(|e| panic!("unparseable row {row}: {e}"));
+        JobSpec::from_journal(&doc).unwrap_or_else(|| panic!("undecodable row {row}"))
     }
 
     #[test]

@@ -820,14 +820,13 @@ fn serve_watch(shared: &Shared, stream: &mut TcpStream, path: &str) -> u16 {
             Snap::Running(hb) => match heartbeat::read(&hb) {
                 Some(h) if last_cycle.map_or(true, |c| h.cycle > c) => {
                     last_cycle = Some(h.cycle);
-                    let cpi = h.cpi.as_deref().unwrap_or("");
                     Some((
                         "progress",
                         format!(
                             "{{\"job\":{job_id},\"cycle\":{},\"committed\":{},\"cpi\":\"{}\"}}",
                             h.cycle,
                             h.committed,
-                            json_escape(cpi)
+                            json_escape(&h.cpi)
                         ),
                         false,
                     ))
@@ -1010,7 +1009,7 @@ fn job_status_json(entry: &JobEntry, id: u64) -> String {
 }
 
 fn rpc_job_query(shared: &Shared, id: &str, params: &Json) -> Response {
-    let Some(job_id) = params.get("job").and_then(Json::as_num).map(|n| n as u64) else {
+    let Some(job_id) = params.get("job").and_then(Json::as_u64) else {
         return (400, "Bad Request", Vec::new(), rpc_error(id, -32600, "missing job id", None));
     };
     let st = shared.state.lock().expect("state lock");
@@ -1024,7 +1023,7 @@ fn rpc_job_query(shared: &Shared, id: &str, params: &Json) -> Response {
 }
 
 fn rpc_cancel(shared: &Shared, id: &str, params: &Json) -> Response {
-    let Some(job_id) = params.get("job").and_then(Json::as_num).map(|n| n as u64) else {
+    let Some(job_id) = params.get("job").and_then(Json::as_u64) else {
         return (400, "Bad Request", Vec::new(), rpc_error(id, -32600, "missing job id", None));
     };
     let mut st = shared.state.lock().expect("state lock");

@@ -189,6 +189,30 @@ fn deeply_nested_rpc_body_is_a_parse_error_not_a_crash() {
     assert_eq!(doc.get("ok"), Some(&Json::Bool(true)));
 }
 
+#[test]
+fn non_integer_or_out_of_range_numbers_are_invalid_params() {
+    let server = Server::start(small_config("ints")).unwrap();
+    let port = server.port();
+    for params in [
+        r#""iters":4294967297"#,
+        r#""iters":-3"#,
+        r#""iters":2.5"#,
+        r#""iters":1e300"#,
+        r#""deadline_ms":-1"#,
+    ] {
+        let body = format!(
+            r#"{{"jsonrpc":"2.0","id":1,"method":"simulate","params":{{"target":"505.mcf_r",{params}}}}}"#
+        );
+        let (status, _, doc) = rpc(port, &body);
+        assert_eq!(status, 400, "{params}: {doc:?}");
+        let code = doc.get("error").and_then(|e| e.get("code")).and_then(Json::as_num);
+        assert_eq!(code, Some(-32602.0), "{params}: {doc:?}");
+    }
+    // Nothing was admitted, and the daemon still serves.
+    let (status, _, doc) = http(port, "GET", "/status", "", "test");
+    assert_eq!(status, 200, "{doc:?}");
+}
+
 fn json_string(s: &str) -> String {
     format!("\"{}\"", sas_serve::http::json_escape(s))
 }

@@ -20,9 +20,17 @@
 //! (temp + rename, the same discipline as the supervisor heartbeat), so a
 //! kill mid-write leaves either the previous checkpoint or a stale `.tmp`,
 //! never a half-written live file.
+//!
+//! The crate also holds the other durability primitive, [`AppendLog`]: the
+//! one crash-safe append-only row log (single-write appends, torn-tail
+//! repair, temp + rename rewrite) behind every JSONL artifact.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+
+mod append;
+
+pub use append::{AppendLog, Recovered, Row};
 
 use std::fmt;
 use std::path::Path;

@@ -162,7 +162,8 @@ impl CpiStack {
 
     /// Renders the stack as a JSON object (nested `mitigation` object keyed
     /// by cause name, zero-valued causes omitted). Suitable for bench JSONL
-    /// rows — *not* for the runner manifest, whose parser is flat-only.
+    /// rows — *not* for runner manifest rows, which are flat by format
+    /// (they carry [`CpiStack::encode_flat`] instead).
     pub fn to_json(&self, cause_names: &[&str]) -> String {
         let mut s = String::from("{");
         for (name, v) in self.fixed_buckets() {
@@ -186,7 +187,8 @@ impl CpiStack {
 
     /// Encodes the stack as a single flat token string
     /// (`base=12;fetch_stall=3;...;TaintedAddress=9`), safe to carry as a
-    /// scalar string field through the runner's flat-JSON manifest.
+    /// scalar string field in the runner's flat manifest rows and the
+    /// heartbeat line.
     pub fn encode_flat(&self, cause_names: &[&str]) -> String {
         let mut parts: Vec<String> = self
             .fixed_buckets()

@@ -1,13 +1,17 @@
-//! A small strict JSON parser — the checked-in validator for the Chrome
-//! trace export and `--metrics` JSONL lines.
+//! The workspace's one JSON codec: a small strict parser ([`parse`]) and
+//! the string escaper every writer uses ([`escape`], [`escape_into`]).
 //!
-//! Hand-rolled because the workspace is hermetic (no external crates, see
-//! CHANGES.md PR 1). Strictness beats completeness here: the parser
-//! rejects trailing garbage, unquoted keys, and malformed escapes, so a
-//! broken exporter fails tier-1 instead of producing a file Perfetto
-//! quietly mis-renders.
+//! Every JSON artifact is read back through [`parse`]: runner manifests and
+//! child result lines, heartbeat files, the `sas-serve` journal and its
+//! JSON-RPC bodies, `BENCH_*.json` trajectories, and the Chrome trace and
+//! `--metrics` exports it validates. Hand-rolled because the workspace is
+//! hermetic (no external crates). Strictness beats completeness here: the
+//! parser rejects trailing garbage, unquoted keys, duplicate keys and
+//! malformed escapes, so a broken writer fails tier-1 instead of producing
+//! a file a reader quietly mis-reads.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,6 +62,59 @@ impl Json {
             _ => None,
         }
     }
+
+    /// The payload as an exact non-negative integer: `None` for a
+    /// non-number and for a negative, fractional or too-large number. Only
+    /// values below 2^53 count, because above that an f64 no longer holds
+    /// every integer, so the text may have been rounded on the way in.
+    pub fn as_u64(&self) -> Option<u64> {
+        const EXACT: f64 = (1u64 << 53) as f64;
+        match *self {
+            Json::Num(n) if (0.0..EXACT).contains(&n) && n.fract() == 0.0 => Some(n as u64),
+            _ => None,
+        }
+    }
+
+    /// The boolean payload if this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+/// Appends `s` to `out` escaped for use between JSON quotes: `"`, `\`,
+/// `\n`, `\r` and `\t` get their short escapes, every other control
+/// character is written `\u00XX`, and everything else is copied verbatim.
+pub fn escape_into(out: &mut String, s: &str) {
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        // Every escaped byte is ASCII, so `i` is a char boundary.
+        out.push_str(&s[plain..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        plain = i + 1;
+    }
+    out.push_str(&s[plain..]);
+}
+
+/// `s` escaped for use between JSON quotes (see [`escape_into`]).
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
 }
 
 /// Deepest array/object nesting [`parse`] accepts. Recursive descent uses
@@ -358,20 +415,29 @@ mod tests {
         let unit = "plain \"quoted\" back\\slash\nnew\tline é ✓ 🦀 \u{1}";
         let original = unit.repeat((1 << 20) / unit.len() + 1);
         assert!(original.len() >= 1 << 20);
-        let mut doc = String::from("[\"");
-        for c in original.chars() {
-            match c {
-                '"' => doc.push_str("\\\""),
-                '\\' => doc.push_str("\\\\"),
-                '\n' => doc.push_str("\\n"),
-                '\t' => doc.push_str("\\t"),
-                c if (c as u32) < 0x20 => doc.push_str(&format!("\\u{:04x}", c as u32)),
-                c => doc.push(c),
-            }
-        }
-        doc.push_str("\"]");
+        let doc = format!("[\"{}\"]", escape(&original));
         let parsed = parse(&doc).unwrap();
         assert_eq!(parsed.as_arr().unwrap()[0].as_str(), Some(original.as_str()));
+    }
+
+    #[test]
+    fn as_u64_accepts_only_exact_non_negative_integers() {
+        let n = |text: &str| parse(text).unwrap().as_u64();
+        assert_eq!(n("0"), Some(0));
+        assert_eq!(n("42"), Some(42));
+        assert_eq!(n("1e3"), Some(1000));
+        assert_eq!(n("9007199254740991"), Some((1 << 53) - 1));
+        for bad in ["-1", "1.5", "9007199254740992", "18446744073709551615", "1e300", "\"7\""] {
+            assert_eq!(n(bad), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn escape_uses_short_forms_and_unicode_escapes() {
+        assert_eq!(
+            escape("a\"b\\c\nd\re\tf\u{1}\u{1f}é\u{7f}"),
+            "a\\\"b\\\\c\\nd\\re\\tf\\u0001\\u001fé\u{7f}"
+        );
     }
 
     #[test]

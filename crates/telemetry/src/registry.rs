@@ -310,22 +310,6 @@ pub struct MetricsRegistry {
     entries: Vec<(String, MetricValue)>,
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl MetricsRegistry {
     /// Creates an empty registry.
     pub fn new() -> MetricsRegistry {
@@ -403,7 +387,7 @@ impl MetricsRegistry {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for (name, v) in &self.entries {
-            let name = escape(name);
+            let name = crate::json::escape(name);
             match v {
                 MetricValue::Counter(c) => {
                     out.push_str(&format!(

@@ -23,6 +23,11 @@ cargo build --release --offline --workspace --benches --examples --bins
 echo "== tier1: offline test suite =="
 cargo test -q --offline
 
+echo "== tier1: benchmark harness tests (perfbench, a workspace of its own) =="
+# perfbench builds against crates/* by path, so an API change that breaks
+# the benchmark harness fails here rather than in the next benchmark run.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== tier1: bench smoke (fig6 grid via sas-runner, 75 isolated cells) =="
 ./target/release/sas-runner fig6 --iters 2 --jobs 2 --timeout-ms 120000 \
   --manifest target/sas-runner/tier1-fig6.jsonl
