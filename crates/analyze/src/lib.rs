@@ -86,6 +86,45 @@ impl AnalysisConfig {
         0
     }
 
+    /// Whether every granule from `lo & !0xF` up to `hi` (exclusive) has
+    /// lock `key` — exactly `lock_of(g) == key` for each such granule `g`,
+    /// checked one run of equal locks at a time. Between two consecutive
+    /// range edges (a granule-aligned base, or an end rounded up to the
+    /// next granule) every range either covers all granules or none, so
+    /// [`AnalysisConfig::lock_of`]'s first match is the same throughout.
+    /// The cost is one scan of `granule_tags` per run, not per granule.
+    pub fn lock_covers(&self, lo: u64, hi: u64, key: u8) -> bool {
+        let mut g = lo & !0xF;
+        while g < hi {
+            let mut lock = None;
+            // The next edge above `g`; `None` = none below 2^64.
+            let mut next: Option<u64> = None;
+            for &(base, len, k) in &self.granule_tags {
+                let start = base & !0xF;
+                let end = base.saturating_add(len);
+                if lock.is_none() && g >= start && g < end {
+                    lock = Some(k);
+                }
+                // Granule `g` is inside iff `start <= g < end`, i.e. below
+                // `end` rounded up to a granule (past 2^64: no edge).
+                let stop = end.checked_add(0xF).map(|e| e & !0xF);
+                for edge in [Some(start), stop].into_iter().flatten() {
+                    if edge > g && next.is_none_or(|n| edge < n) {
+                        next = Some(edge);
+                    }
+                }
+            }
+            if lock.unwrap_or(0) != key {
+                return false;
+            }
+            match next {
+                Some(n) => g = n,
+                None => return true,
+            }
+        }
+        true
+    }
+
     /// Whether untagged address `addr` lies in a protected range.
     pub fn is_protected(&self, addr: u64) -> bool {
         self.protected.iter().any(|&(lo, hi)| addr >= lo && addr < hi)

@@ -41,12 +41,33 @@
 //! `max_steps` is a belt-and-braces fuel bound on top. Unknown indirect
 //! targets are dead edges in this pass — [`btb_window_scan`] compensates by
 //! walking a mispredicted-indirect window from every load.
+//!
+//! ## Cost shape
+//!
+//! [`run`] pops the lowest queued pc first, so a loop settles before the
+//! code below it is walked and a long straight run (a NOP sled) is walked
+//! about once, where a FIFO walked it again for every change at its head
+//! (4,129 instead of 12,327 steps on a 4114-instruction bounds-check-bypass
+//! program; one unit of `max_steps` fuel is one step, so the fuel lasts
+//! ≈3× longer there). Every step writes its post-state into one reused
+//! scratch state and joins it into each successor in place
+//! ([`AbsState::join_in_place`]); only a pc's first state is allocated.
+//! The key-clean footprint check walks the granule-tag map one run of
+//! equal locks at a time ([`AnalysisConfig::lock_covers`]), not one
+//! 16-byte granule at a time.
+//!
+//! The bound join widens up the ones ladder, so in principle the
+//! stabilized states can depend on visit order. On the fuzzer's program
+//! families they are identical to a FIFO's (the `sas-fuzz` digest tests
+//! pin findings and per-pc states), and the attack-suite verdicts are
+//! unchanged.
 
 use crate::cfg::Cfg;
 use crate::report::{Finding, FindingKind};
 use crate::AnalysisConfig;
 use sas_isa::{Inst, Operand, Program, Reg, VirtAddr};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Taint bit: attacker-controlled at entry (from [`AnalysisConfig::attacker_regs`]).
 pub const UNTRUSTED: u8 = 0b01;
@@ -55,10 +76,9 @@ pub const SECRET: u8 = 0b10;
 
 const NREGS: usize = Reg::COUNT;
 const MAX_STORES: usize = 16;
-/// Largest access footprint (in bytes) the key-clean check will walk. Must
+/// Largest access footprint (in bytes) the key-clean check admits. Must
 /// admit a full Flush+Reload probe array (256 lines × 64-byte stride) so a
-/// bounded byte shifted into a probe index stays checkable; the granule walk
-/// is at most `FOOTPRINT_CAP / 16` iterations.
+/// bounded byte shifted into a probe index stays checkable.
 const FOOTPRINT_CAP: u64 = 0x1_0000;
 
 /// Smallest all-ones value covering `x` — the widening ladder for value
@@ -75,7 +95,7 @@ fn ones_fill(x: u64) -> u64 {
 }
 
 /// Abstract state at an instruction boundary.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct AbsState {
     /// Known constant per register (`None` = unknown).
     pub consts: [Option<u64>; NREGS],
@@ -98,6 +118,20 @@ pub struct AbsState {
     /// Remaining TTL of an in-flight store whose address is unknown
     /// (aliases everything); `0` = none.
     pub stores_unknown: u32,
+}
+
+impl Clone for AbsState {
+    fn clone(&self) -> AbsState {
+        AbsState { stores: self.stores.clone(), ..*self }
+    }
+
+    /// Reuses `self`'s store list: the fixpoint overwrites one scratch
+    /// state per step.
+    fn clone_from(&mut self, src: &AbsState) {
+        let mut stores = std::mem::take(&mut self.stores);
+        stores.clone_from(&src.stores);
+        *self = AbsState { stores, ..*src };
+    }
 }
 
 impl AbsState {
@@ -127,28 +161,44 @@ impl AbsState {
     /// Least upper bound of two states.
     pub fn join(&self, other: &AbsState) -> AbsState {
         let mut out = self.clone();
+        out.join_in_place(other);
+        out
+    }
+
+    /// `*self = self.join(other)` without a temporary state, returning
+    /// whether `self` changed.
+    pub fn join_in_place(&mut self, other: &AbsState) -> bool {
+        let mut changed = false;
         for i in 0..NREGS {
-            if out.consts[i] != other.consts[i] {
-                out.consts[i] = None;
+            if self.consts[i] != other.consts[i] && self.consts[i].is_some() {
+                self.consts[i] = None;
+                changed = true;
             }
-            if out.bounds[i] != other.bounds[i] {
+            if self.bounds[i] != other.bounds[i] {
                 // Widen straight up the ones ladder so loop-carried bounds
                 // stabilize in at most 64 joins.
-                out.bounds[i] = match (out.bounds[i], other.bounds[i]) {
+                let widened = match (self.bounds[i], other.bounds[i]) {
                     (Some(a), Some(b)) => Some(ones_fill(a.max(b))),
                     _ => None,
                 };
+                changed |= widened != self.bounds[i];
+                self.bounds[i] = widened;
             }
-            out.taint[i] |= other.taint[i];
-            out.derived[i] |= other.derived[i];
+            changed |= other.taint[i] & !self.taint[i] != 0;
+            self.taint[i] |= other.taint[i];
+            changed |= other.derived[i] && !self.derived[i];
+            self.derived[i] |= other.derived[i];
         }
-        out.flags_taint |= other.flags_taint;
-        out.window = out.window.max(other.window);
+        changed |= other.flags_taint & !self.flags_taint != 0;
+        self.flags_taint |= other.flags_taint;
+        changed |= other.window > self.window;
+        self.window = self.window.max(other.window);
         for &r in &other.stores {
-            push_store(&mut out.stores, &mut out.stores_unknown, r);
+            changed |= push_store(&mut self.stores, &mut self.stores_unknown, r);
         }
-        out.stores_unknown = out.stores_unknown.max(other.stores_unknown);
-        out
+        changed |= other.stores_unknown > self.stores_unknown;
+        self.stores_unknown = self.stores_unknown.max(other.stores_unknown);
+        changed
     }
 
     fn rd(&self, r: Reg) -> Option<u64> {
@@ -217,18 +267,27 @@ impl AbsState {
     }
 }
 
-fn push_store(stores: &mut Vec<(u64, u64, u32)>, unknown: &mut u32, store: (u64, u64, u32)) {
+/// Adds one in-flight store (a full list spills into the unknown-address
+/// TTL), returning whether the list or the unknown TTL changed.
+fn push_store(
+    stores: &mut Vec<(u64, u64, u32)>,
+    unknown: &mut u32,
+    store: (u64, u64, u32),
+) -> bool {
     let (lo, hi, ttl) = store;
     if let Some(e) = stores.iter_mut().find(|e| e.0 == lo && e.1 == hi) {
+        let grew = ttl > e.2;
         e.2 = e.2.max(ttl);
-        return;
+        return grew;
     }
     if stores.len() >= MAX_STORES {
+        let grew = ttl > *unknown;
         *unknown = (*unknown).max(ttl);
-        return;
+        return grew;
     }
     stores.push(store);
     stores.sort_unstable();
+    true
 }
 
 /// Whether two untagged byte ranges may alias under the pipeline's partial
@@ -302,14 +361,7 @@ fn footprint_checked(
     if acfg.protected.iter().any(|&(plo, phi)| lo < phi && plo < hi) {
         return false;
     }
-    let mut g = lo & !0xF;
-    while g < hi {
-        if acfg.lock_of(g) != key {
-            return false;
-        }
-        g += 16;
-    }
-    true
+    acfg.lock_covers(lo, hi, key)
 }
 
 /// Upper bound of an ALU result given operand bounds; `None` = unbounded.
@@ -346,18 +398,18 @@ fn alu_bound(st: &AbsState, op: sas_isa::AluOp, lhs: Reg, rhs: Operand) -> Optio
     }
 }
 
-/// Applies `inst` to `st`, returning the post-state and the successor list
-/// as `(target, opens_window)` pairs. Targets outside the program are
-/// dropped (dead edges).
+/// Applies `inst` to `st`, writing the post-state into `out` and returning
+/// the at most two successors as `(target, opens_window)` pairs. Targets
+/// outside the program are dropped (dead edges).
 fn transfer(
     st: &AbsState,
     inst: Inst,
     pc: usize,
     len: usize,
     acfg: &AnalysisConfig,
-) -> (AbsState, Vec<(usize, bool)>) {
-    let mut out = st.clone();
-    let mut succs: Vec<(usize, bool)> = Vec::with_capacity(2);
+    out: &mut AbsState,
+) -> [Option<(usize, bool)>; 2] {
+    out.clone_from(st);
 
     // Memory effects first (loads/stores, including AMO which is both).
     if let Some((base, index, offset)) = inst.addr_operands() {
@@ -481,42 +533,36 @@ fn transfer(
         _ => {}
     }
 
-    match inst {
-        Inst::B { target } => succs.push((target, false)),
+    let succs = match inst {
+        Inst::B { target } => [Some((target, false)), None],
         Inst::BCond { target, .. } | Inst::Cbz { target, .. } | Inst::Cbnz { target, .. } => {
-            succs.push((target, true));
-            succs.push((pc + 1, true));
+            [Some((target, true)), Some((pc + 1, true))]
         }
         Inst::Bl { target } => {
             out.write(Reg::LR, Some((pc + 1) as u64), 0, false);
-            succs.push((target, false));
+            [Some((target, false)), None]
         }
         Inst::Blr { reg } => {
             let t = st.rd(reg);
             out.write(Reg::LR, Some((pc + 1) as u64), 0, false);
-            if let Some(t) = t {
-                succs.push((t as usize, true));
-            }
+            [t.map(|t| (t as usize, true)), None]
         }
-        Inst::Br { reg } => {
-            if let Some(t) = st.rd(reg) {
-                succs.push((t as usize, true));
-            }
-        }
-        Inst::Ret => {
-            if let Some(t) = st.rd(Reg::LR) {
-                succs.push((t as usize, true));
-            }
-        }
-        Inst::Halt => {}
-        _ => succs.push((pc + 1, false)),
-    }
-    succs.retain(|&(t, _)| t < len);
-    (out, succs)
+        Inst::Br { reg } => [st.rd(reg).map(|t| (t as usize, true)), None],
+        Inst::Ret => [st.rd(Reg::LR).map(|t| (t as usize, true)), None],
+        Inst::Halt => [None, None],
+        _ => [Some((pc + 1, false)), None],
+    };
+    succs.map(|e| e.filter(|&(t, _)| t < len))
 }
 
 /// Runs the worklist fixpoint and returns the stabilized IN state per
 /// instruction (`None` = unreachable from entry in this pass).
+///
+/// The worklist always pops the lowest queued pc, so the code above a pc
+/// settles before the pc is revisited: a loop converges before the code
+/// after it is walked, and a straight run below it is walked once rather
+/// than once per intermediate state of the code above. One scratch state
+/// carries every post-state; edges join into their target in place.
 pub fn run(program: &Program, acfg: &AnalysisConfig) -> Vec<Option<AbsState>> {
     let len = program.len();
     let mut inn: Vec<Option<AbsState>> = vec![None; len];
@@ -526,48 +572,46 @@ pub fn run(program: &Program, acfg: &AnalysisConfig) -> Vec<Option<AbsState>> {
     let entry = program.entry().min(len - 1);
     inn[entry] = Some(AbsState::entry(acfg));
     let mut queued = vec![false; len];
-    let mut work = VecDeque::new();
-    work.push_back(entry);
+    let mut work = BinaryHeap::new();
+    work.push(Reverse(entry));
     queued[entry] = true;
+    let mut out = AbsState::entry(acfg);
     let mut fuel = acfg.max_steps;
-    while let Some(pc) = work.pop_front() {
+    while let Some(Reverse(pc)) = work.pop() {
         queued[pc] = false;
         if fuel == 0 {
             break;
         }
         fuel -= 1;
-        let st = inn[pc].clone().expect("queued pcs have a state");
+        let st = inn[pc].as_ref().expect("queued pcs have a state");
         let inst = program.fetch(pc).expect("pc in range");
-        let (out, succs) = transfer(&st, inst, pc, len, acfg);
-        for (t, opens) in succs {
-            let mut s = out.clone();
-            s.window = if opens {
-                s.window.max(acfg.spec_window)
+        let succs = transfer(st, inst, pc, len, acfg, &mut out);
+        // Each in-flight store ages independently; expired ones retire
+        // and can no longer forward stale data to a transient load. Aging
+        // is the same on every edge; only the window depends on the edge.
+        // (A zero `spec_window` pushes stores with TTL 0: they retire here.)
+        out.stores.retain_mut(|e| {
+            e.2 = e.2.saturating_sub(1);
+            e.2 > 0
+        });
+        out.stores_unknown = out.stores_unknown.saturating_sub(1);
+        let window = out.window;
+        for (t, opens) in succs.into_iter().flatten() {
+            out.window = if opens {
+                window.max(acfg.spec_window)
             } else {
-                s.window.saturating_sub(1)
+                window.saturating_sub(1)
             };
-            // Each in-flight store ages independently; expired ones retire
-            // and can no longer forward stale data to a transient load.
-            s.stores.retain_mut(|e| {
-                e.2 -= 1;
-                e.2 > 0
-            });
-            s.stores_unknown = s.stores_unknown.saturating_sub(1);
             let changed = match &mut inn[t] {
                 slot @ None => {
-                    *slot = Some(s);
+                    *slot = Some(out.clone());
                     true
                 }
-                Some(cur) => {
-                    let j = cur.join(&s);
-                    let c = j != *cur;
-                    *cur = j;
-                    c
-                }
+                Some(cur) => cur.join_in_place(&out),
             };
             if changed && !queued[t] {
                 queued[t] = true;
-                work.push_back(t);
+                work.push(Reverse(t));
             }
         }
     }
@@ -1064,6 +1108,27 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_window_retires_stores_at_once() {
+        // TTL-0 stores used to wrap to u32::MAX on their first aging step
+        // (and panic in debug builds), so the store never retired and a
+        // zero window reported a forwarding hazard a one-instruction
+        // window does not.
+        let mut asm = ProgramBuilder::new();
+        asm.mov_imm64(Reg::X6, 0x4400);
+        asm.mov_imm64(Reg::X7, 0x1_0000);
+        asm.str(Reg::X1, Reg::X6, 0);
+        asm.nop();
+        asm.ldr(Reg::X2, Reg::X6, 0);
+        asm.ldrb_idx(Reg::X3, Reg::X7, Reg::X2);
+        asm.halt();
+        let p = asm.build().unwrap();
+        for spec_window in [0, 1] {
+            let a = crate::analyze(&p, &AnalysisConfig { spec_window, ..acfg() });
+            assert_eq!(a.gadget_count(), 0, "window {spec_window}: {:?}", a.findings);
+        }
+    }
+
+    #[test]
     fn four_k_aliased_store_still_hazards() {
         // Store and load differ in address but share a page offset: partial
         // STL matching (the LVI injection channel) can still forward.
@@ -1102,6 +1167,119 @@ mod tests {
         let p = asm.build().unwrap();
         let a = crate::analyze(&p, &attacker_cfg());
         assert_eq!(a.gadget_count(), 0, "{:?}", a.findings);
+    }
+
+    /// The field-by-field least upper bound `join_in_place` must reproduce.
+    fn reference_join(a: &AbsState, other: &AbsState) -> AbsState {
+        let mut out = a.clone();
+        for i in 0..NREGS {
+            if out.consts[i] != other.consts[i] {
+                out.consts[i] = None;
+            }
+            if out.bounds[i] != other.bounds[i] {
+                out.bounds[i] = match (out.bounds[i], other.bounds[i]) {
+                    (Some(a), Some(b)) => Some(ones_fill(a.max(b))),
+                    _ => None,
+                };
+            }
+            out.taint[i] |= other.taint[i];
+            out.derived[i] |= other.derived[i];
+        }
+        out.flags_taint |= other.flags_taint;
+        out.window = out.window.max(other.window);
+        for &r in &other.stores {
+            push_store(&mut out.stores, &mut out.stores_unknown, r);
+        }
+        out.stores_unknown = out.stores_unknown.max(other.stores_unknown);
+        out
+    }
+
+    /// A random state over small value pools, so equal and unequal fields,
+    /// repeated store ranges and full store lists all occur.
+    fn random_state(rng: &mut sas_ptest::Rng) -> AbsState {
+        let mut st = AbsState::entry(&AnalysisConfig::default());
+        let pick = |rng: &mut sas_ptest::Rng| match rng.below(5) {
+            0 => None,
+            k => Some([0, 1, 5, 0xFF][k as usize - 1]),
+        };
+        for i in 0..NREGS {
+            st.consts[i] = pick(rng);
+            st.bounds[i] = pick(rng);
+            st.taint[i] = rng.below(4) as u8;
+            st.derived[i] = rng.chance(0.3);
+        }
+        st.flags_taint = rng.below(4) as u8;
+        st.window = rng.below(3) as u32 * 32;
+        let stores = if rng.chance(0.3) { MAX_STORES + 4 } else { rng.below(6) as usize };
+        for _ in 0..stores {
+            let lo = 0x4000 + 8 * rng.below(24);
+            let ttl = 1 + rng.below(3) as u32 * 20;
+            push_store(&mut st.stores, &mut st.stores_unknown, (lo, lo + 8, ttl));
+        }
+        st.stores_unknown = st.stores_unknown.max(rng.below(3) as u32 * 30);
+        st
+    }
+
+    /// `a` with exactly one component replaced by a random value.
+    fn nudged(a: &AbsState, rng: &mut sas_ptest::Rng) -> AbsState {
+        let mut b = a.clone();
+        let other = random_state(rng);
+        let i = rng.below(NREGS as u64) as usize;
+        match rng.below(8) {
+            0 => b.consts[i] = other.consts[i],
+            1 => b.bounds[i] = other.bounds[i],
+            2 => b.taint[i] = other.taint[i],
+            3 => b.derived[i] = other.derived[i],
+            4 => b.flags_taint = other.flags_taint,
+            5 => b.window = other.window,
+            6 => b.stores = other.stores,
+            _ => b.stores_unknown = other.stores_unknown,
+        }
+        b
+    }
+
+    #[test]
+    fn join_in_place_matches_join_and_reports_change() {
+        sas_ptest::check("join_in_place_matches_join", 2000, |rng| {
+            let a = random_state(rng);
+            // The other side is `a` itself, a state that already covers
+            // `a` (no change one way), `a` with one component moved (the
+            // change flag must see every field alone), or unrelated.
+            let b = match rng.below(4) {
+                0 => a.clone(),
+                1 => reference_join(&random_state(rng), &a),
+                2 => nudged(&a, rng),
+                _ => random_state(rng),
+            };
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                let want = reference_join(x, y);
+                let mut got = x.clone();
+                let changed = got.join_in_place(y);
+                assert_eq!(got, want);
+                assert_eq!(changed, want != *x);
+                assert_eq!(x.join(y), want);
+            }
+        });
+        // A new range joined into a full list spills into the unknown-store
+        // TTL; that alone is a change.
+        let mut full = AbsState::entry(&AnalysisConfig::default());
+        for k in 0..MAX_STORES as u64 {
+            push_store(&mut full.stores, &mut full.stores_unknown, (8 * k, 8 * k + 8, 5));
+        }
+        let spill = AbsState { stores: vec![(0x8000, 0x8008, 9)], ..full.clone() };
+        let mut joined = full.clone();
+        assert!(joined.join_in_place(&spill));
+        assert_eq!(joined, reference_join(&full, &spill));
+        assert_eq!((joined.stores.len(), joined.stores_unknown), (MAX_STORES, 9));
+    }
+
+    #[test]
+    fn clone_from_reuses_and_matches_clone() {
+        sas_ptest::check("abs_state_clone_from", 200, |rng| {
+            let (a, mut b) = (random_state(rng), random_state(rng));
+            b.clone_from(&a);
+            assert_eq!(b, a.clone());
+        });
     }
 
     #[test]

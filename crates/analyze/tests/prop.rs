@@ -147,3 +147,66 @@ fn rpo_is_a_total_order_on_reachable_blocks() {
         }
     });
 }
+
+/// `lock_of` one granule at a time: the definition `lock_covers` must
+/// reproduce (stepping with `checked_add`, so ranges ending near
+/// `u64::MAX` terminate).
+fn granule_walk(acfg: &AnalysisConfig, lo: u64, hi: u64, key: u8) -> bool {
+    let mut g = lo & !0xF;
+    while g < hi {
+        if acfg.lock_of(g) != key {
+            return false;
+        }
+        match g.checked_add(16) {
+            Some(next) => g = next,
+            None => break,
+        }
+    }
+    true
+}
+
+#[test]
+fn interval_lock_check_matches_the_granule_walk() {
+    let outcomes = std::cell::Cell::new([0u32; 2]);
+    check("lock_covers_matches_granule_walk", 3000, |rng| {
+        // Everything lives in one 2 KiB window, low in the address space or
+        // flush against `u64::MAX`, so ranges overlap, nest and saturate.
+        let anchor = if rng.chance(0.5) { 0x2000 } else { u64::MAX - 0x7FF };
+        let near = |rng: &mut sas_ptest::Rng| anchor + rng.below(0x800);
+        let granule_tags = (0..rng.below(7))
+            .map(|_| {
+                let base = if rng.chance(0.5) { near(rng) & !0xF } else { near(rng) };
+                let len = match rng.below(8) {
+                    0 => 0,
+                    1 => u64::MAX,
+                    _ => rng.below(0x200),
+                };
+                (base, len, rng.below(16) as u8)
+            })
+            .collect();
+        let acfg = AnalysisConfig { granule_tags, ..AnalysisConfig::default() };
+        let lo = near(rng);
+        // (The reference walk is linear, so only the high window may run
+        // its range all the way to the top.)
+        let hi = match rng.below(6) {
+            0 if anchor > 0x2000 => u64::MAX,
+            1 => lo.saturating_sub(rng.below(0x40)),
+            _ => lo.saturating_add(rng.below(0x400)),
+        };
+        // Mostly ask for the first granule's own lock, so the check has to
+        // walk the whole range rather than fail at its start.
+        let key = if rng.chance(0.75) { acfg.lock_of(lo) } else { rng.below(16) as u8 };
+        let want = granule_walk(&acfg, lo, hi, key);
+        assert_eq!(
+            acfg.lock_covers(lo, hi, key),
+            want,
+            "lo={lo:#x} hi={hi:#x} key={key} tags={:x?}",
+            acfg.granule_tags
+        );
+        let mut seen = outcomes.get();
+        seen[usize::from(want)] += 1;
+        outcomes.set(seen);
+    });
+    let [covered_not, covered] = outcomes.get();
+    assert!(covered_not > 100 && covered > 100, "outcomes {:?}", outcomes.get());
+}

@@ -19,7 +19,7 @@ use specasan::SimConfig;
 use std::time::Instant;
 
 /// Schema tag stamped into `BENCH_lint.json`.
-pub const BENCH_SCHEMA: &str = "sas-bench-lint-v1";
+pub const BENCH_SCHEMA: &str = "sas-bench-lint-v2";
 
 /// The analysis configuration the differential runs under: the shared
 /// victim memory map plus `X0` as the attacker-controlled input, which is
@@ -174,6 +174,8 @@ pub struct Report {
     pub disagreements: Vec<Disagreement>,
     /// Wall time spent inside `analyze()` only.
     pub analyze_secs: f64,
+    /// Wall time spent inside the dynamic oracle run (`run_dynamic`) only.
+    pub dynrun_secs: f64,
     /// Wall time for the whole campaign.
     pub total_secs: f64,
 }
@@ -183,6 +185,15 @@ impl Report {
     pub fn programs_per_sec(&self) -> f64 {
         if self.analyze_secs > 0.0 {
             self.cases as f64 / self.analyze_secs
+        } else {
+            0.0
+        }
+    }
+
+    /// Mean microseconds per case spent in `secs` (0 for no cases).
+    fn per_case_us(&self, secs: f64) -> f64 {
+        if self.cases > 0 {
+            secs * 1e6 / f64::from(self.cases)
         } else {
             0.0
         }
@@ -246,7 +257,8 @@ impl Report {
              \"known_non_cache_channel\": {},\n  \"known_no_misspeculation\": {},\n  \
              \"known_window_timing\": {},\n  \"soundness_bugs\": {},\n  \"precision_bugs\": {},\n  \
              \"analyze_secs\": {:.6},\n  \"total_secs\": {:.6},\n  \
-             \"analyze_programs_per_sec\": {:.1}\n}}\n",
+             \"analyze_programs_per_sec\": {:.1},\n  \"analyze_us\": {:.1},\n  \
+             \"dynrun_us\": {:.1}\n}}\n",
             self.seed,
             self.cases,
             t.agree_clean,
@@ -260,12 +272,14 @@ impl Report {
             self.analyze_secs,
             self.total_secs,
             self.programs_per_sec(),
+            self.per_case_us(self.analyze_secs),
+            self.per_case_us(self.dynrun_secs),
         )
     }
 }
 
 /// Validates a `BENCH_lint.json` body: schema tag, seed, and every counter
-/// as a number.
+/// and per-case phase time as a number.
 pub fn validate_bench(body: &str) -> Result<(), String> {
     let doc = json::parse(body)?;
     if doc.get("schema").and_then(Json::as_str) != Some(BENCH_SCHEMA) {
@@ -283,6 +297,8 @@ pub fn validate_bench(body: &str) -> Result<(), String> {
         "soundness_bugs",
         "precision_bugs",
         "analyze_programs_per_sec",
+        "analyze_us",
+        "dynrun_us",
     ] {
         doc.get(key).and_then(Json::as_num).ok_or(format!("missing key \"{key}\""))?;
     }
@@ -323,19 +339,23 @@ pub fn run_campaign(c: &Campaign) -> Report {
     let acfg = fuzz_config();
     let started = Instant::now();
     let mut analyze_secs = 0.0f64;
+    let mut dynrun_secs = 0.0f64;
     let mut tally = Tally::default();
     let mut disagreements = Vec::new();
     for index in 0..c.cases {
         let case_seed = case_seed_of(c.seed, index);
-        // Re-time the analyze half here so the throughput figure excludes
-        // generation and simulation.
+        // Time the analyze and dynamic halves apart, so the throughput
+        // figure excludes generation and simulation and the per-case
+        // phase times show the analyzer's share.
         let mut rng = Rng::new(case_seed);
         let scenario = gen_scenario(&sim, &mut rng);
         let t0 = Instant::now();
         let analysis = analyze(&scenario.program, &acfg);
         analyze_secs += t0.elapsed().as_secs_f64();
         let statics = StaticSummary::of(&analysis);
+        let t0 = Instant::now();
         let dynamics = run_dynamic(scenario.kind, &sim, &scenario.program);
+        dynrun_secs += t0.elapsed().as_secs_f64();
         let classification = classify(scenario.intent, &statics, &dynamics);
         tally.add(classification);
         let r = CaseResult { index, case_seed, scenario, statics, dynamics, classification };
@@ -350,6 +370,7 @@ pub fn run_campaign(c: &Campaign) -> Report {
         tally,
         disagreements,
         analyze_secs,
+        dynrun_secs,
         total_secs: started.elapsed().as_secs_f64(),
     }
 }
@@ -385,10 +406,19 @@ mod tests {
             tally: Tally { agree_clean: 6, agree_leak: 4, ..Tally::default() },
             disagreements: Vec::new(),
             analyze_secs: 0.01,
+            dynrun_secs: 0.02,
             total_secs: 0.5,
         };
-        validate_bench(&rep.bench_json()).unwrap();
+        let body = rep.bench_json();
+        validate_bench(&body).unwrap();
+        let doc = json::parse(&body).unwrap();
+        assert_eq!(doc.get("analyze_us").and_then(Json::as_num), Some(1000.0));
+        assert_eq!(doc.get("dynrun_us").and_then(Json::as_num), Some(2000.0));
         assert!(validate_bench("{}").is_err());
+        for key in ["analyze_us", "dynrun_us"] {
+            let without = body.replace(&format!("\"{key}\""), "\"renamed\"");
+            assert!(validate_bench(&without).unwrap_err().contains(key));
+        }
     }
 
     #[test]

@@ -50,32 +50,33 @@ pub enum ReadError {
     Io(std::io::Error),
 }
 
-/// Reads one request from the stream. The caller is expected to have set a
-/// read timeout; a timeout mid-request surfaces as [`ReadError::Io`].
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, ReadError> {
+/// Reads one request from any byte source (a socket in the daemon, a
+/// slice in the properties). The caller is expected to have set a read
+/// timeout on a socket; a timeout mid-request surfaces as
+/// [`ReadError::Io`]. The head buffer is [`MAX_HEAD`] bytes and the body
+/// buffer is exactly the declared `Content-Length` (at most [`MAX_BODY`]),
+/// so no allocation grows with what the peer sends beyond those caps.
+pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, ReadError> {
     // Accumulate bytes until the blank line ending the header block.
-    let mut head = Vec::new();
-    let mut rest = Vec::new();
-    let mut buf = [0u8; 2048];
+    let mut head = vec![0u8; MAX_HEAD];
+    let mut filled = 0;
     let head_end = loop {
-        if let Some(pos) = find_head_end(&head) {
+        if let Some(pos) = find_head_end(&head[..filled]) {
             break pos;
         }
-        if head.len() > MAX_HEAD {
+        if filled == MAX_HEAD {
             return Err(ReadError::TooLarge);
         }
-        let n = match stream.read(&mut buf) {
-            Ok(0) if head.is_empty() => return Err(ReadError::Closed),
+        match stream.read(&mut head[filled..]) {
+            Ok(0) if filled == 0 => return Err(ReadError::Closed),
             Ok(0) => return Err(ReadError::Bad("eof inside header block".into())),
-            Ok(n) => n,
+            Ok(n) => filled += n,
             Err(e) => return Err(ReadError::Io(e)),
-        };
-        head.extend_from_slice(&buf[..n]);
+        }
     };
-    rest.extend_from_slice(&head[head_end..]);
-    head.truncate(head_end);
+    let rest = &head[head_end..filled];
 
-    let text = String::from_utf8_lossy(&head);
+    let text = String::from_utf8_lossy(&head[..head_end]);
     let mut lines = text.split("\r\n");
     let request_line = lines.next().unwrap_or_default();
     let mut parts = request_line.split_ascii_whitespace();
@@ -96,7 +97,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, ReadError> {
         };
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
-    let mut req = Request { method, path, headers, body: rest };
+    let mut req = Request { method, path, headers, body: Vec::new() };
 
     if req.header("transfer-encoding").is_some() {
         return Err(ReadError::Bad("chunked bodies are not supported".into()));
@@ -108,15 +109,18 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, ReadError> {
     if length > MAX_BODY {
         return Err(ReadError::TooLarge);
     }
-    while req.body.len() < length {
-        let n = match stream.read(&mut buf) {
+    // Bytes past the body are pipelined requests: ignored, we always close.
+    let early = rest.len().min(length);
+    req.body = vec![0u8; length];
+    req.body[..early].copy_from_slice(&rest[..early]);
+    let mut got = early;
+    while got < length {
+        match stream.read(&mut req.body[got..]) {
             Ok(0) => return Err(ReadError::Bad("eof inside body".into())),
-            Ok(n) => n,
+            Ok(n) => got += n,
             Err(e) => return Err(ReadError::Io(e)),
-        };
-        req.body.extend_from_slice(&buf[..n]);
+        }
     }
-    req.body.truncate(length); // ignore pipelined bytes; we always close
     Ok(req)
 }
 

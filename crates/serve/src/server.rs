@@ -25,12 +25,13 @@ use sas_query::Val;
 use sas_runner::{heartbeat, supervisor, sweep};
 use sas_telemetry::expo;
 use sas_telemetry::json::{self, Json};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Service configuration.
@@ -140,7 +141,7 @@ struct JobEntry {
 struct State {
     queue: JobQueue,
     jobs: HashMap<u64, JobEntry>,
-    done_order: Vec<u64>,
+    done_order: VecDeque<u64>,
     next_id: u64,
     running: usize,
     workers_alive: usize,
@@ -167,11 +168,16 @@ const MAX_CONNECTIONS: usize = 64;
 /// forgotten.
 const DONE_RETENTION: usize = 256;
 
+/// Name of each server's watchdog thread.
+pub const WATCHDOG_THREAD: &str = "sas-watchdog";
+
 /// A running service instance.
 pub struct Server {
     shared: Arc<Shared>,
     port: u16,
     stop_accept: Arc<AtomicBool>,
+    /// Joined (once) by [`Server::stop_accepting`].
+    watchdog: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Server {
@@ -196,7 +202,7 @@ impl Server {
             // configured bound; admission control applies to new traffic.
             queue: JobQueue::new(cfg.queue_cap.max(recovery.pending.len())),
             jobs: HashMap::new(),
-            done_order: Vec::new(),
+            done_order: VecDeque::new(),
             next_id: recovery.next_job_id,
             running: 0,
             workers_alive: cfg.workers,
@@ -240,17 +246,20 @@ impl Server {
         for _ in 0..workers {
             spawn_worker(Arc::clone(&shared));
         }
-        {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || watchdog_loop(shared));
-        }
         let stop_accept = Arc::new(AtomicBool::new(false));
+        let watchdog = {
+            let shared = Arc::clone(&shared);
+            let stop = Arc::clone(&stop_accept);
+            std::thread::Builder::new()
+                .name(WATCHDOG_THREAD.into())
+                .spawn(move || watchdog_loop(shared, &stop))?
+        };
         {
             let shared = Arc::clone(&shared);
             let stop = Arc::clone(&stop_accept);
             std::thread::spawn(move || accept_loop(&shared, &listener, &stop));
         }
-        Ok(Server { shared, port, stop_accept })
+        Ok(Server { shared, port, stop_accept, watchdog: Mutex::new(Some(watchdog)) })
     }
 
     /// The bound port.
@@ -291,9 +300,16 @@ impl Server {
         true
     }
 
-    /// Stops the accept loop (used at the very end of shutdown).
+    /// Stops the accept loop and the watchdog (used at the very end of
+    /// shutdown); returns once the watchdog thread has exited.
     pub fn stop_accepting(&self) {
         self.stop_accept.store(true, Ordering::SeqCst);
+        if let Some(watchdog) = self.watchdog.lock().expect("watchdog lock").take() {
+            watchdog.thread().unpark();
+            if watchdog.join().is_err() {
+                eprintln!("sas-serve: the watchdog thread panicked");
+            }
+        }
     }
 }
 
@@ -412,9 +428,9 @@ fn finish_job(shared: &Shared, st: &mut State, id: u64, outcome: Option<&str>, d
         let _ = std::fs::remove_file(sas_snap::temp_path(&path));
         let _ = std::fs::remove_file(path);
     }
-    st.done_order.push(id);
+    st.done_order.push_back(id);
     if st.done_order.len() > DONE_RETENTION {
-        let drop_id = st.done_order.remove(0);
+        let drop_id = st.done_order.pop_front().expect("over retention");
         if matches!(st.jobs.get(&drop_id).map(|e| &e.phase), Some(Phase::Done { .. })) {
             st.jobs.remove(&drop_id);
         }
@@ -426,9 +442,14 @@ fn finish_job(shared: &Shared, st: &mut State, id: u64, outcome: Option<&str>, d
 // Watchdog: deadlines and wedged workers
 // ---------------------------------------------------------------------------
 
-fn watchdog_loop(shared: Arc<Shared>) {
+fn watchdog_loop(shared: Arc<Shared>, stop: &AtomicBool) {
     loop {
-        std::thread::sleep(Duration::from_millis(50));
+        // `stop_accepting` unparks the thread so shutdown does not wait
+        // out the tick; a spurious wake-up only runs one early check.
+        std::thread::park_timeout(Duration::from_millis(50));
+        if stop.load(Ordering::SeqCst) {
+            return;
+        }
         let now = Instant::now();
         let mut replacements = 0;
         {
@@ -946,6 +967,10 @@ fn rpc_query(shared: &Shared, id: &str, params: &Json) -> Response {
             idx.push_row(&row);
         }
     }
+    // Copy the rows and result bodies under the state lock; parse and
+    // flatten after releasing it, so submits and resolutions never wait
+    // on a large result body.
+    let mut jobs: Vec<(sas_query::load::Row, Option<String>)> = Vec::new();
     {
         let st = shared.state.lock().expect("state lock");
         let mut ids: Vec<u64> = st.jobs.keys().copied().collect();
@@ -959,6 +984,7 @@ fn rpc_query(shared: &Shared, id: &str, params: &Json) -> Response {
                 ("label".into(), Val::Str(entry.spec.label())),
                 ("priority".into(), Val::Str(entry.priority.token().into())),
             ];
+            let mut result = None;
             match &entry.phase {
                 Phase::Queued => row.push(("status".into(), Val::Str("queued".into()))),
                 Phase::Running { .. } => row.push(("status".into(), Val::Str("running".into()))),
@@ -967,15 +993,19 @@ fn rpc_query(shared: &Shared, id: &str, params: &Json) -> Response {
                     row.push(("status".into(), Val::Str(format!("done:{outcome}"))));
                     row.push(("ok".into(), Val::Str(ok.to_string())));
                     if *ok {
-                        if let Ok(doc) = json::parse(body) {
-                            sas_query::load::flatten("", &doc, &mut row);
-                        }
+                        result = Some(body.clone());
                     }
                 }
             }
-            sas_query::load::enrich(&mut row);
-            idx.push_row(&row);
+            jobs.push((row, result));
         }
+    }
+    for (mut row, result) in jobs {
+        if let Some(Ok(doc)) = result.as_deref().map(json::parse) {
+            sas_query::load::flatten("", &doc, &mut row);
+        }
+        sas_query::load::enrich(&mut row);
+        idx.push_row(&row);
     }
     idx.seal();
     match sas_query::run_str(&idx, q) {
